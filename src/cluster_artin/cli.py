@@ -73,6 +73,22 @@ def _presenter(args):
                              minimal_t3=getattr(args, "minimal_t3", False))
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid" message
+    return parse
+
+
+_POSITIVE_INT, _NON_NEGATIVE_INT = _int_at_least(1), _int_at_least(0)
+
+
 def _budget(args) -> SearchBudget:
     return SearchBudget(max_nodes=args.budget_nodes, len_slack=args.budget_len)
 
@@ -190,7 +206,7 @@ def _verify_map_fixture(args, obj: dict) -> int:
 
 def cmd_verify(args) -> int:
     obj = _load_json(args.input)
-    if "images" in obj:
+    if isinstance(obj, dict) and "images" in obj:
         return _verify_map_fixture(args, obj)
     G = Diagram.from_json(obj)
     diagrams = mutation_class(G, cap=args.cap) if args.mutation_class else (G,)
@@ -276,23 +292,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("finite", "affine"), default="finite")
     p.add_argument("--minimal-t3", action="store_true")
     p.add_argument("--patterns", help="(T4) pattern library JSON (affine mode)")
-    p.add_argument("--budget-nodes", type=int, default=1_000_000,
+    p.add_argument("--budget-nodes", type=_POSITIVE_INT, default=1_000_000,
                    help="insertion attempts per word search")
-    p.add_argument("--budget-len", type=int, default=16,
+    p.add_argument("--budget-len", type=_NON_NEGATIVE_INT, default=16,
                    help="extra letters allowed beyond each start word")
-    p.add_argument("--coset-cap", type=int, default=1_000_000)
-    p.add_argument("--cap", type=int, default=20_000,
+    p.add_argument("--coset-cap", type=_POSITIVE_INT, default=1_000_000)
+    p.add_argument("--cap", type=_POSITIVE_INT, default=20_000,
                    help="mutation class budget for --class")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for --fuzz word generation")
-    p.add_argument("--fuzz", type=int, default=0,
+    p.add_argument("--fuzz", type=_NON_NEGATIVE_INT, default=0,
                    help="also run N random-word soundness checks")
 
     p = sub.add_parser("enumerate",
                        help="mutation class census with Coxeter orders")
     common(p)
-    p.add_argument("--cap", type=int, default=20_000)
-    p.add_argument("--coset-cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=_POSITIVE_INT, default=20_000)
+    p.add_argument("--coset-cap", type=_POSITIVE_INT, default=1_000_000)
 
     return parser
 

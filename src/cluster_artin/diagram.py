@@ -57,6 +57,13 @@ def _thread_count() -> int:
 # Exchange matrices
 
 
+def _json_int(value, what: str) -> int:
+    """An integer from parsed JSON; floats, strings and booleans are errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DiagramError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _find_symmetrizer(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Positive integer diagonal d with d_i B_ij = -d_j B_ji, or raise."""
     n = len(rows)
@@ -135,7 +142,12 @@ class ExchangeMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "ExchangeMatrix":
-        return ExchangeMatrix(tuple(tuple(row) for row in obj["B"]))
+        rows = obj.get("B") if isinstance(obj, dict) else None
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) for row in rows):
+            raise DiagramError('matrix JSON needs "B": a list of integer rows')
+        return ExchangeMatrix(tuple(
+            tuple(_json_int(x, "matrix entry") for x in row) for row in rows))
 
 
 def is_two_finite(B: ExchangeMatrix) -> bool:
@@ -251,10 +263,28 @@ class Diagram:
 
     @staticmethod
     def from_json(obj: dict) -> "Diagram":
-        """Accept either diagram JSON {"n", "edges"} or matrix JSON {"B"}."""
+        """Accept either diagram JSON {"n", "edges"} or matrix JSON {"B"}.
+
+        Malformed input raises DiagramError; nothing is coerced.
+        """
+        if not isinstance(obj, dict):
+            raise DiagramError(
+                f"diagram JSON must be an object, not {type(obj).__name__}")
         if "B" in obj:
             return diagram_from_matrix(ExchangeMatrix.from_json(obj))
-        return Diagram(int(obj["n"]), tuple(tuple(e) for e in obj["edges"]))
+        if "n" not in obj or "edges" not in obj:
+            raise DiagramError('diagram JSON needs "n" and "edges" (or "B")')
+        edges = obj["edges"]
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 3 for e in edges):
+            raise DiagramError(
+                '"edges" must be a list of [source, target, weight] triples')
+        n = _json_int(obj["n"], '"n"')
+        if n < 0:
+            raise DiagramError(f'"n" must be non-negative, got {n}')
+        return Diagram(
+            n,
+            tuple(tuple(_json_int(x, "edge entry") for x in e) for e in edges))
 
     def to_dot(self) -> str:
         lines = ["digraph diagram {"]

@@ -61,20 +61,23 @@ def splice(word: tuple[int, ...], pos: int, ins: tuple[int, ...]) -> tuple[int, 
     """Insert `ins` into the reduced `word` at `pos` and reduce the result.
 
     Both inputs must already be reduced; cancellation can then only cascade
-    from the two seams.
+    from the two seams.  The left seam cancels first, then the right seam;
+    only when `ins` is absorbed whole do the two outer parts of `word` meet.
     """
-    out = list(word[:pos])
-    for x in ins:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    for x in word[pos:]:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
+    lo, hi, i, j = pos, pos, 0, len(ins)
+    while lo and i < j and word[lo - 1] == -ins[i]:
+        lo -= 1
+        i += 1
+    n = len(word)
+    while hi < n and i < j and ins[j - 1] == -word[hi]:
+        hi += 1
+        j -= 1
+    if i == j:
+        while lo and hi < n and word[lo - 1] == -word[hi]:
+            lo -= 1
+            hi += 1
+        return word[:lo] + word[hi:]
+    return word[:lo] + ins[i:j] + word[hi:]
 
 
 @dataclass(frozen=True)

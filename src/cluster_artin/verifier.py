@@ -3,10 +3,13 @@
 Three layers, cheapest first.  The abelianization filter is a necessary
 condition computed from exponent sums.  Todd-Coxeter coset enumeration
 decides words exactly in the finite Coxeter quotient (the Artin presentation
-plus involution relators).  Finally a bounded best-first search over relator
-insertions either produces a replayable proof certificate of triviality in
-the Artin group itself or reports NotFound, which is always inconclusive and
-never a claim of nontriviality.
+plus involution relators): a complete table over the trivial subgroup is the
+regular representation, so a word is trivial exactly when it fixes coset 0,
+and only that one walk is made.  Finally a bounded best-first search over
+relator insertions either produces a replayable proof certificate of
+triviality in the Artin group itself or reports NotFound, which is always
+inconclusive and never a claim of nontriviality.  Each insertion is reduced
+by `splice`, which cancels only at the two seams.
 
 Certificates are replayed by an independent code path before being reported;
 a replay failure or a certificate for a quotient-rejected word is raised as a
@@ -28,6 +31,7 @@ from .presentation import (
     Word,
     artin_presentation,
     coxeter_quotient,
+    free_reduce,
     splice,
     t_relator,
     t3_qualifies,
@@ -222,21 +226,18 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP) -> CosetTa
 
 
 def word_trivial_in_coxeter(table: CosetTable, w: Word) -> bool:
-    """Whether w acts trivially on every coset of a complete table."""
+    """Whether w is the identity in the group of a complete table.
+
+    A complete table over the trivial subgroup is the regular
+    representation, so w = e exactly when w fixes coset 0.
+    """
     if table.status != "complete":
         raise CappedTableError("capped table cannot decide triviality")
-    cols = [_col(x) for x in w.letters]
     rows = table.rows
-
-    def fixes(start: int) -> bool:
-        cur = start
-        for c in cols:
-            cur = rows[cur][c]
-        return cur == start
-
-    if not fixes(0):
-        return False
-    return all(fixes(start) for start in range(1, len(rows)))
+    cur = 0
+    for x in w.letters:
+        cur = rows[cur][_col(x)]
+    return cur == 0
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +331,14 @@ def _presentation_key(P: Presentation) -> tuple:
 
 
 def _moves_for(P: Presentation):
-    """All distinct rotated / inverted relator forms, tagged for certificates."""
+    """All distinct rotated / inverted relator forms, tagged for certificates.
+
+    Each move is (tag, -first, -last, reduced): the negated end letters of
+    the raw rotated form pick insertion seams, and `reduced` is its free
+    reduction, which splices to the same word because free reduction is
+    confluent.  A rotation of a relator that is not cyclically reduced is
+    itself not reduced.
+    """
     key = _presentation_key(P)
     cached = _MOVE_CACHE.get(key)
     if cached is not None:
@@ -347,7 +355,8 @@ def _moves_for(P: Presentation):
                 if letters in seen:
                     continue
                 seen.add(letters)
-                moves.append((rid, rot, inverted, letters))
+                moves.append(((rid, rot, inverted), -letters[0], -letters[-1],
+                              free_reduce(letters)))
     result = tuple(moves)
     _MOVE_CACHE[key] = result
     return result
@@ -371,41 +380,41 @@ def prove_trivial(
     if len(start) > maxlen:
         return None
     moves = _moves_for(P)
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], ProofStep] | None] = {
-        start: None
-    }
+    # parent[word] = (previous word, position, (rid, rot, inverted))
+    parent: dict[tuple[int, ...], tuple | None] = {start: None}
     heap: list[tuple[int, int, tuple[int, ...]]] = [(len(start), 0, start)]
     counter = 1
     nodes = 0
+    max_nodes = budget.max_nodes
 
     def reconstruct(end: tuple[int, ...]) -> ProofCertificate:
         steps = []
         cur = end
         while parent[cur] is not None:
-            prev, step = parent[cur]  # type: ignore[misc]
-            steps.append(step)
-            cur = prev
+            cur, pos, (rid, rot, inverted) = parent[cur]  # type: ignore[misc]
+            steps.append(ProofStep(pos, rid, rot, inverted))
         return ProofCertificate(w, tuple(reversed(steps)))
 
     while heap:
         _, _, cur = heappop(heap)
+        size = len(cur)
         seam_after: dict[int, list[int]] = {}
         for idx, x in enumerate(cur):
             seam_after.setdefault(x, []).append(idx)
-        for rid, rot, inverted, letters in moves:
-            positions = {0, len(cur)}
-            for idx in seam_after.get(-letters[0], ()):
+        for tag, neg_first, neg_last, letters in moves:
+            positions = {0, size}
+            for idx in seam_after.get(neg_first, ()):
                 positions.add(idx + 1)
-            for idx in seam_after.get(-letters[-1], ()):
+            for idx in seam_after.get(neg_last, ()):
                 positions.add(idx)
             for pos in sorted(positions):
                 nodes += 1
-                if nodes > budget.max_nodes:
+                if nodes > max_nodes:
                     return None
                 nxt = splice(cur, pos, letters)
                 if len(nxt) > maxlen or nxt in parent:
                     continue
-                parent[nxt] = (cur, ProofStep(pos, rid, rot, inverted))
+                parent[nxt] = (cur, pos, tag)
                 if not nxt:
                     return reconstruct(nxt)
                 heappush(heap, (len(nxt), counter, nxt))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cluster_artin.cli import main
 
 from conftest import FIXTURES, GOLDEN
@@ -141,6 +143,64 @@ class TestVerify:
         obj = json.loads(out)
         assert obj["status"] in ("PASS", "INCONCLUSIVE")
         assert code in (0, 3)
+
+
+BAD_NUMERIC_FLAGS = {
+    "budget-nodes": ("verify", "-k", 1, "--budget-nodes", -5),
+    "budget-len": ("verify", "-k", 1, "--budget-len", -1),
+    "coset-cap": ("verify", "-k", 1, "--coset-cap", 0),
+    "cap": ("verify", "--class", "--all-vertices", "--cap", 0),
+    "fuzz": ("verify", "-k", 1, "--fuzz", -1),
+    "enumerate-cap": ("enumerate", "--cap", 0),
+    "enumerate-coset-cap": ("enumerate", "--coset-cap", 0),
+}
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv", BAD_NUMERIC_FLAGS.values(),
+                             ids=BAD_NUMERIC_FLAGS.keys())
+    def test_out_of_range_is_a_usage_error(self, capsys, argv):
+        command, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(FIXTURES / "a2.json"), *map(str, rest)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --" in err and "must be >=" in err
+
+    def test_smallest_allowed_values_run(self, capsys):
+        code, out = run(capsys, "verify", FIXTURES / "a2.json", "-k", 1,
+                        "--budget-nodes", 1, "--budget-len", 0, "--fuzz", 0,
+                        "--coset-cap", 1, "--cap", 1)
+        assert code == 3
+        assert json.loads(out)["status"] == "INCONCLUSIVE"
+
+
+MALFORMED_DIAGRAMS = {
+    "missing-edges": {"n": 3},
+    "not-an-object": [1, 2],
+    "two-element-edge": {"n": 3, "edges": [[1, 2]]},
+    "string-n": {"n": "x", "edges": []},
+    "fractional-weight": {"n": 2, "edges": [[1, 2, 1.5]]},
+    "boolean-weight": {"n": 2, "edges": [[1, 2, True]]},
+    "negative-n": {"n": -1, "edges": []},
+    "fractional-matrix-entry": {"B": [[0, 1.5], [-1, 0]]},
+    "matrix-not-a-list": {"B": 3},
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("obj", MALFORMED_DIAGRAMS.values(),
+                             ids=MALFORMED_DIAGRAMS.keys())
+    @pytest.mark.parametrize("command", ("mutate", "verify"))
+    def test_clean_error_line(self, capsys, tmp_path, obj, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code = main([command, str(path), "-k", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestEnumerate:

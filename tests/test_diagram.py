@@ -71,6 +71,31 @@ class TestDiagramFromMatrix:
         assert Diagram.from_json(G.to_json()) == G
 
 
+class TestFromJsonValidation:
+    @pytest.mark.parametrize("obj", [
+        {"n": 3},
+        [1, 2],
+        {"n": 3, "edges": [[1, 2]]},
+        {"n": "x", "edges": []},
+        {"n": 2, "edges": [[1, 2, 1.5]]},
+        {"n": 2, "edges": [[1, 2, True]]},
+        {"n": True, "edges": []},
+        {"n": -1, "edges": []},
+        {"n": 2, "edges": [[1, 2, 1]], "B": [[0, 1], [-1.0, 0]]},
+        {"B": [[0, 1], "ab"]},
+    ], ids=["missing-edges", "not-an-object", "two-element-edge", "string-n",
+            "fractional-weight", "boolean-weight", "boolean-n", "negative-n",
+            "float-matrix-entry", "matrix-row-not-a-list"])
+    def test_rejects(self, obj):
+        with pytest.raises(DiagramError):
+            Diagram.from_json(obj)
+
+    def test_valid_inputs_unchanged(self):
+        G = Diagram.from_json({"n": 3, "edges": [[2, 3, 2], [1, 2, 1]]})
+        assert G == Diagram(3, ((1, 2, 1), (2, 3, 2)))
+        assert Diagram.from_json({"n": 0, "edges": []}).n == 0
+
+
 class TestMatrixMutation:
     def test_rank_two_sign_flip(self):
         B = ExchangeMatrix(((0, 1), (-1, 0)))

@@ -1,3 +1,6 @@
+import random
+from heapq import heappop, heappush
+
 import pytest
 
 from cluster_artin import (
@@ -28,7 +31,7 @@ from cluster_artin import (
     verify_mutation_invariance,
     word_trivial_in_coxeter,
 )
-from cluster_artin.verifier import CappedTableError
+from cluster_artin.verifier import DEFAULT_BUDGET, CappedTableError
 
 from conftest import (
     DYNKIN,
@@ -37,6 +40,7 @@ from conftest import (
     SQUARE_1212,
     TRIANGLE_221,
     WEYL_ORDERS,
+    load_fixture,
 )
 
 
@@ -119,6 +123,50 @@ class TestWordTrivial:
             word_trivial_in_coxeter(table, Word((1,)))
 
 
+def every_coset_trivial(table, w: Word) -> bool:
+    """Reference word check: w must fix every coset of the table."""
+    cols = [2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in w.letters]
+    for start in range(len(table.rows)):
+        cur = start
+        for c in cols:
+            cur = table.rows[cur][c]
+        if cur != start:
+            return False
+    return True
+
+
+WORD_CHECK_FIXTURES = ("a2", "b2", "g2", "a3", "b3", "d4")
+
+
+class TestWordTrivialAgainstEveryCoset:
+    @pytest.mark.parametrize("name", WORD_CHECK_FIXTURES)
+    def test_coset_zero_agrees_with_every_coset(self, name):
+        G = Diagram.from_json(load_fixture(f"{name}.json"))
+        P = coxeter_presentation(G)
+        table = todd_coxeter(P)
+        assert table.status == "complete"
+        rng = random.Random(f"word-check:{name}")
+        words = [r.word for r in P.relators + artin_presentation(G).relators]
+        for _ in range(300):
+            words.append(Word(tuple(
+                rng.randint(1, G.n) * rng.choice((1, -1))
+                for _ in range(rng.randint(0, 14)))))
+        verdicts = set()
+        for w in words:
+            got = word_trivial_in_coxeter(table, w)
+            assert got == every_coset_trivial(table, w), w.letters
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", WORD_CHECK_FIXTURES)
+    def test_capped_table_still_raises(self, name):
+        G = Diagram.from_json(load_fixture(f"{name}.json"))
+        table = todd_coxeter(coxeter_presentation(G), coset_cap=2)
+        assert table.status == "capped"
+        with pytest.raises(CappedTableError):
+            word_trivial_in_coxeter(table, Word(()))
+
+
 class TestAbelianization:
     def test_empty_word(self):
         assert abelianization_check(artin_presentation(DYNKIN["A3"]), Word(()))
@@ -171,6 +219,147 @@ class TestProveTrivial:
             cert = prove_trivial(P, w)
             assert cert is not None and replay_certificate(P, cert)
             assert word_trivial_in_coxeter(table, w)
+
+
+def _stack_splice(word, pos, ins):
+    """Reference splice: a letter-by-letter cancellation stack."""
+    out = list(word[:pos])
+    for x in ins + word[pos:]:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def reference_prove_trivial(P, w, budget=DEFAULT_BUDGET):
+    """The insertion search with a stack splice and a ProofStep per state.
+
+    Kept as an independent statement of the search order: the library's
+    search must return the same certificates and the same None outcomes.
+    """
+    start = w.letters
+    if not start:
+        return ProofCertificate(w, ())
+    maxlen = budget.limit_for(w)
+    if len(start) > maxlen:
+        return None
+    moves, seen = [], set()
+    for rid, rel in enumerate(P.relators):
+        core = rel.word.letters
+        for rot in range(len(core)):
+            rotated = core[rot:] + core[:rot]
+            for inverted in (False, True):
+                letters = (tuple(-x for x in reversed(rotated))
+                           if inverted else rotated)
+                if letters not in seen:
+                    seen.add(letters)
+                    moves.append((rid, rot, inverted, letters))
+    parent = {start: None}
+    heap = [(len(start), 0, start)]
+    counter = nodes = 0
+    while heap:
+        _, _, cur = heappop(heap)
+        seam_after = {}
+        for idx, x in enumerate(cur):
+            seam_after.setdefault(x, []).append(idx)
+        for rid, rot, inverted, letters in moves:
+            positions = {0, len(cur)}
+            positions.update(i + 1 for i in seam_after.get(-letters[0], ()))
+            positions.update(seam_after.get(-letters[-1], ()))
+            for pos in sorted(positions):
+                nodes += 1
+                if nodes > budget.max_nodes:
+                    return None
+                nxt = _stack_splice(cur, pos, letters)
+                if len(nxt) > maxlen or nxt in parent:
+                    continue
+                parent[nxt] = (cur, ProofStep(pos, rid, rot, inverted))
+                if not nxt:
+                    steps = []
+                    while parent[nxt] is not None:
+                        nxt, step = parent[nxt]
+                        steps.append(step)
+                    return ProofCertificate(w, tuple(reversed(steps)))
+                counter += 1
+                heappush(heap, (len(nxt), counter, nxt))
+    return None
+
+
+def random_word(rng, n: int, lo: int, hi: int) -> Word:
+    return Word(tuple(rng.randint(1, n) * rng.choice((1, -1))
+                      for _ in range(rng.randint(lo, hi))))
+
+
+def assert_same_search(P, w, budget=DEFAULT_BUDGET):
+    cert = prove_trivial(P, w, budget)
+    assert cert == reference_prove_trivial(P, w, budget), w.letters
+    if cert is not None:
+        assert replay_certificate(P, cert)
+    return cert
+
+
+REFERENCE_FIXTURES = ("a3", "b3-triangle", "d4", "square")
+
+
+class TestProverAgainstReference:
+    @pytest.mark.parametrize("name", REFERENCE_FIXTURES)
+    def test_every_relator_and_its_conjugate(self, name):
+        P = artin_presentation(Diagram.from_json(load_fixture(f"{name}.json")))
+        budget = SearchBudget(max_nodes=5_000)
+        for r in P.relators:
+            assert assert_same_search(P, r.word) is not None
+            assert_same_search(P, r.word.conjugate(Word((2, -1))), budget)
+
+    @pytest.mark.parametrize("name", REFERENCE_FIXTURES)
+    def test_seeded_quotient_trivial_words(self, name):
+        # mostly nontrivial in the Artin group: the search runs to its budget
+        P = artin_presentation(Diagram.from_json(load_fixture(f"{name}.json")))
+        table = quotient_table(P)
+        rng = random.Random(f"reference-search:{name}")
+        found = []
+        while len(found) < 10:
+            w = random_word(rng, P.n_generators, 4, 12)
+            if w and word_trivial_in_coxeter(table, w):
+                found.append(w)
+        for w in found:
+            assert_same_search(P, w, SearchBudget(max_nodes=2_000, len_slack=8))
+
+    @pytest.mark.parametrize("name", REFERENCE_FIXTURES)
+    def test_seeded_products_of_conjugated_relators(self, name):
+        P = artin_presentation(Diagram.from_json(load_fixture(f"{name}.json")))
+        rng = random.Random(f"reference-products:{name}")
+        outcomes = []
+        for _ in range(8):
+            r1, r2 = rng.choice(P.relators), rng.choice(P.relators)
+            w = (r1.word.conjugate(random_word(rng, P.n_generators, 1, 2))
+                 * r2.word.inverse().conjugate(random_word(rng, P.n_generators, 1, 2)))
+            cert = assert_same_search(P, w, SearchBudget(max_nodes=20_000))
+            outcomes.append(cert is not None)
+        assert any(outcomes)
+
+    def test_small_node_budgets_pin_the_count(self):
+        P = artin_presentation(DYNKIN["A2"])
+        w = Word((1, 2, 1, -2, -1, -2)).conjugate(Word((2, 1)))
+        outcomes = [
+            assert_same_search(P, w, SearchBudget(max_nodes=k)) is not None
+            for k in range(1, 80)
+        ]
+        assert outcomes[0] is False and outcomes[-1] is True
+
+    def test_relator_that_is_not_cyclically_reduced(self):
+        base = artin_presentation(DYNKIN["A3"])
+        conj = Relator(Word((1, 2, -1)), "T2", "conjugate of g2")
+        P = base.with_relators(base.relators + (conj,), "nonreduced")
+        rng = random.Random("reference-search:nonreduced")
+        words = [Word((2,)), Word((-1, 2, 1)), Word((3, 1, -2, -1, -3)),
+                 Word((1, 3, -2, -3, -1, 2))]
+        words += [random_word(rng, 3, 3, 8) for _ in range(10)]
+        for w in words:
+            assert_same_search(P, w, SearchBudget(max_nodes=3_000, len_slack=8))
+        for k in range(1, 40):
+            assert_same_search(P, Word((3, 1, -2, -1, -3)),
+                               SearchBudget(max_nodes=k))
 
 
 class TestSearchBudget:
