@@ -23,7 +23,7 @@ from .diagram import (
     mutation_class,
     opposite,
 )
-from .mapping import GroupMap
+from .mapping import GroupMap, MappingError
 from .presentation import (
     PresentationError,
     Word,
@@ -187,13 +187,23 @@ def cmd_enumerate(args) -> int:
 
 
 def _verify_map_fixture(args, obj: dict) -> int:
+    for key in ("diagram", "k"):
+        if key not in obj:
+            raise MappingError(f'map fixture needs "{key}"')
     G = Diagram.from_json(obj["diagram"])
-    k = int(obj["k"])
+    k = obj["k"]
+    if type(k) is not int:
+        raise MappingError(f'"k" must be an integer, got {k!r}')
+    label = obj.get("label", "fixture-map")
+    if not isinstance(label, str):
+        raise MappingError(f'"label" must be a string, got {label!r}')
     presenter = _presenter(args)
     source = presenter(mutate_diagram(G, k))
     target = presenter(G)
+    if not isinstance(obj["images"], list):
+        raise MappingError('"images" must be a list of words')
     images = tuple(Word.from_json(w) for w in obj["images"])
-    gmap = GroupMap(source, target, images, obj.get("label", "fixture-map"))
+    gmap = GroupMap(source, target, images, label)
     report = verify_homomorphism(gmap, _budget(args), args.coset_cap)
     payload = report.to_json()
 
@@ -327,7 +337,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (DiagramError, PresentationError, BudgetExceededError,
+    except (DiagramError, PresentationError, MappingError, BudgetExceededError,
             VerifierError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -5,8 +5,9 @@ integer matrix B: there is an arrow i -> j exactly when B_ij > 0, carrying
 weight |B_ij * B_ji|.  Mutation acts on matrices by the Fomin-Zelevinsky rule
 and on diagrams by reversing arrows at the mutated vertex and updating the
 third side of every path through it.  This module also provides chordless
-cycle enumeration with the finite-type taxonomy, canonical forms for small
-diagrams, and breadth-first closure of mutation classes.
+cycle enumeration with the finite-type taxonomy, canonical forms (one exact
+column-by-column search for the least adjacency encoding, at every size up to
+the bound), and breadth-first closure of mutation classes.
 
 Vertices are 1-based throughout, matching the usual figure labelling.
 """
@@ -19,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
 
 
 class DiagramError(ValueError):
@@ -335,20 +335,6 @@ def _cprime(a: int, b: int, c: int, closes_cycle: bool) -> tuple[int, int]:
     return a * b + c + 2 * root, 1
 
 
-# All weight configurations reachable under 2-finiteness.  The table is what
-# mutation consults; tests validate it independently against the identity.
-CPRIME_TABLE: dict[tuple[int, int, int, bool], tuple[int, int]] = {}
-for _a in (1, 2, 3):
-    for _b in (1, 2, 3):
-        for _c in (0, 1, 2, 3):
-            for _closes in (False, True):
-                try:
-                    CPRIME_TABLE[(_a, _b, _c, _closes)] = _cprime(_a, _b, _c, _closes)
-                except MutationError:
-                    pass
-del _a, _b, _c, _closes
-
-
 def mutate_diagram(G: Diagram, k: int) -> Diagram:
     """Diagram mutation at vertex k (1-based).
 
@@ -374,10 +360,7 @@ def mutate_diagram(G: Diagram, k: int) -> Diagram:
                 c, closes = cur[2], True
             else:
                 c, closes = cur[2], False
-            update = CPRIME_TABLE.get((a, b, c, closes))
-            if update is None:
-                update = _cprime(a, b, c, closes)
-            cp, direction = update
+            cp, direction = _cprime(a, b, c, closes)
             if direction == 0:
                 pair_edges.pop(key, None)
             elif direction > 0:
@@ -525,25 +508,15 @@ def _signed_entry(G: Diagram, u: int, v: int) -> int:
 def _canonical_placement(G: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertex placement minimizing the column-wise adjacency encoding.
 
-    Exact search: placements are extended one position at a time, keeping all
-    partial placements whose encoding prefix is minimal.  Degenerate inputs
-    with huge automorphism groups are cut off by a hard cap.
+    The encoding lists column q of the placed adjacency matrix (entries above
+    the diagonal) for q = 1, 2, ..., so its lexicographic minimum is found
+    column by column.  Exact search: placements are extended one position at
+    a time, keeping every partial placement whose encoding prefix is minimal.
+    The partials stay in lexicographic order, so the placement returned is the
+    lexicographically least one among those with the minimal encoding.
+    Degenerate inputs with huge automorphism groups are cut off by a hard cap.
     """
     verts = list(range(1, G.n + 1))
-    if G.n <= 7:
-        best_enc: tuple[int, ...] | None = None
-        best_perm: tuple[int, ...] | None = None
-        for perm in permutations(verts):
-            enc = tuple(
-                _signed_entry(G, perm[p], perm[q])
-                for q in range(G.n)
-                for p in range(q)
-            )
-            if best_enc is None or enc < best_enc:
-                best_enc, best_perm = enc, perm
-        assert best_perm is not None and best_enc is not None
-        return best_perm, best_enc
-
     partials: list[tuple[int, ...]] = [()]
     encoding: list[int] = []
     for q in range(G.n):

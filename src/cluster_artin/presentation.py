@@ -122,7 +122,19 @@ class Word:
 
     @staticmethod
     def from_json(obj) -> "Word":
-        return Word(tuple(g * s for g, s in obj))
+        """A word from a list of [generator, 1 or -1] pairs; anything else raises."""
+        shape = "a word must be a list of [generator >= 1, 1 or -1] pairs"
+        if not isinstance(obj, list):
+            raise PresentationError(f"{shape}, got {obj!r}")
+        letters = []
+        for x in obj:
+            # type() rather than isinstance(): JSON booleans are not letters.
+            if not (isinstance(x, list) and len(x) == 2
+                    and type(x[0]) is int and type(x[1]) is int
+                    and x[0] >= 1 and x[1] in (1, -1)):
+                raise PresentationError(f"{shape}, got {x!r}")
+            letters.append(x[0] * x[1])
+        return Word(tuple(letters))
 
     def to_text(self) -> str:
         """Space-separated tokens, uppercase marking inverses: "g1 G2"."""

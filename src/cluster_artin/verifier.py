@@ -3,13 +3,15 @@
 Three layers, cheapest first.  The abelianization filter is a necessary
 condition computed from exponent sums.  Todd-Coxeter coset enumeration
 decides words exactly in the finite Coxeter quotient (the Artin presentation
-plus involution relators): a complete table over the trivial subgroup is the
-regular representation, so a word is trivial exactly when it fixes coset 0,
-and only that one walk is made.  Finally a bounded best-first search over
-relator insertions either produces a replayable proof certificate of
-triviality in the Artin group itself or reports NotFound, which is always
-inconclusive and never a claim of nontriviality.  Each insertion is reduced
-by `splice`, which cancels only at the two seams.
+plus involution relators).  Each involution gets one self-inverse column, so
+its relator is enforced by the table itself rather than scanned.  A complete
+table over the trivial subgroup is the regular representation, so a word is
+trivial exactly when it fixes coset 0, and only that one walk is made.
+Finally a bounded best-first search over relator insertions either produces
+a replayable proof certificate of triviality in the Artin group itself or
+reports NotFound, which is always inconclusive and never a claim of
+nontriviality.  Each insertion is reduced by `splice`, which cancels only at
+the two seams.
 
 Certificates are replayed by an independent code path before being reported;
 a replay failure or a certificate for a quotient-rejected word is raised as a
@@ -99,15 +101,44 @@ COMPACT_THRESHOLD = 4096
 def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP) -> CosetTable:
     """HLT-style coset enumeration of P over the trivial subgroup.
 
-    Relators are scanned and filled coset by coset in first-definition order,
-    with coincidences processed eagerly and the table compacted when mostly
-    dead.  Returns a capped table instead of raising when the cap is hit.
+    A generator with an involution relator, (g, g) or (-g, -g), gets one
+    self-inverse column shared by +g and -g, and its involution relators are
+    not scanned, because the shared column already enforces them; every
+    other generator gets a column and an inverse column.  Relators are
+    scanned and filled coset by coset in first-definition order, with
+    coincidences processed eagerly and the table compacted when mostly dead.
+    The finished table is expanded to the two-columns-per-generator layout
+    of CosetTable.  Returns a capped table instead of raising once more than
+    `coset_cap` cosets have been defined.
     """
-    ncols = 2 * P.n_generators
-    relcols = [tuple(_col(x) for x in r.word.letters) for r in P.relators]
+    def is_involution(r: Relator) -> bool:
+        return len(r.word) == 2 and r.word.letters[0] == r.word.letters[1]
+
+    involutions = {abs(r.word.letters[0]) for r in P.relators
+                   if is_involution(r)}
+    col: dict[int, int] = {}
+    inv: list[int] = []
+    for g in range(1, P.n_generators + 1):
+        c = len(inv)
+        if g in involutions:
+            col[g] = col[-g] = c
+            inv.append(c)
+        else:
+            col[g], col[-g] = c, c + 1
+            inv += [c + 1, c]
+    ncols = len(inv)
+    # Each relator as (forward columns, backward columns, last index).
+    scans = [
+        (tuple(col[x] for x in r.word.letters),
+         tuple(inv[col[x]] for x in r.word.letters),
+         len(r.word) - 1)
+        for r in P.relators if not is_involution(r)
+    ]
     table: list[list[int | None]] = [[None] * ncols]
     p: list[int] = [0]
+    queue: list[int] = []
     defined = 1
+    n_dead = 0
 
     def rep(k: int) -> int:
         root = k
@@ -117,111 +148,128 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP) -> CosetTa
             p[k], k = root, p[k]
         return root
 
-    queue: list[int] = []
-    n_dead = [0]
-
     def merge(a: int, b: int) -> None:
+        nonlocal n_dead
         a, b = rep(a), rep(b)
         if a != b:
-            a, b = min(a, b), max(a, b)
+            if b < a:
+                a, b = b, a
             p[b] = a
-            n_dead[0] += 1
+            n_dead += 1
             queue.append(b)
 
     def coincidence(a: int, b: int) -> None:
+        # A self-inverse column may point a coset at itself: then delta is
+        # gamma, clearing its entry is harmless because it was already read,
+        # and the transfer below makes rep(gamma) a fixed point of c.
         merge(a, b)
         qi = 0
         while qi < len(queue):
             gamma = queue[qi]
             qi += 1
+            row = table[gamma]
             for c in range(ncols):
-                delta = table[gamma][c]
+                delta = row[c]
                 if delta is None:
                     continue
-                table[delta][c ^ 1] = None
+                ic = inv[c]
+                table[delta][ic] = None
                 mu, nu = rep(gamma), rep(delta)
                 existing = table[mu][c]
                 if existing is not None:
                     merge(nu, existing)
-                elif table[nu][c ^ 1] is not None:
-                    merge(mu, table[nu][c ^ 1])
+                elif table[nu][ic] is not None:
+                    merge(mu, table[nu][ic])
                 else:
                     table[mu][c] = nu
-                    table[nu][c ^ 1] = mu
+                    table[nu][ic] = mu
         queue.clear()
 
     def define(alpha: int, c: int) -> int:
         nonlocal defined
         beta = len(table)
-        table.append([None] * ncols)
+        row: list[int | None] = [None] * ncols
+        row[inv[c]] = alpha
+        table.append(row)
         p.append(beta)
         table[alpha][c] = beta
-        table[beta][c ^ 1] = alpha
         defined += 1
         return beta
 
-    def scan_and_fill(alpha: int, word: tuple[int, ...]) -> None:
-        f, i = alpha, 0
-        b, j = alpha, len(word) - 1
-        while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][word[j] ^ 1] is not None:
-                b = table[b][word[j] ^ 1]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
-                return
-            define(f, word[i])
+    def renumber() -> tuple[list[int], list[int]]:
+        """The live cosets, and the new index of every coset (a dead one
+        takes its representative's)."""
+        live = [c for c in range(len(table)) if p[c] == c]
+        index = [0] * len(table)
+        for new, old in enumerate(live):
+            index[old] = new
+        for c in range(len(table)):
+            if p[c] != c:
+                index[c] = index[rep(c)]
+        return live, index
 
-    def compact(alpha: int) -> int:
-        nonlocal table, p
-        live = [c for c in range(len(table)) if rep(c) == c]
-        remap = {old: new for new, old in enumerate(live)}
-        table = [
-            [None if e is None else remap[rep(e)] for e in table[old]]
-            for old in live
-        ]
-        p = list(range(len(live)))
-        return sum(1 for c in live if c < alpha)
-
+    threshold = COMPACT_THRESHOLD
     alpha = 0
     while alpha < len(table):
         if defined > coset_cap:
             return CosetTable(P.n_generators, (), "capped")
-        if rep(alpha) != alpha:
+        if p[alpha] != alpha:
             alpha += 1
             continue
-        for rel in relcols:
-            scan_and_fill(alpha, rel)
-            if rep(alpha) != alpha:
+        for fw, bw, last in scans:
+            f, i = alpha, 0
+            b, j = alpha, last
+            while True:
+                while i <= j:
+                    nxt = table[f][fw[i]]
+                    if nxt is None:
+                        break
+                    f = nxt
+                    i += 1
+                else:
+                    if f != b:
+                        coincidence(f, b)
+                    break
+                while j >= i:
+                    nxt = table[b][bw[j]]
+                    if nxt is None:
+                        break
+                    b = nxt
+                    j -= 1
+                else:
+                    coincidence(f, b)
+                    break
+                c = fw[i]
+                if j == i:
+                    table[f][c] = b
+                    table[b][inv[c]] = f
+                    break
+                f = define(f, c)
+                i += 1
+            if p[alpha] != alpha:
                 break
-        if rep(alpha) == alpha:
+        else:
+            row = table[alpha]
             for c in range(ncols):
-                if table[alpha][c] is None:
+                if row[c] is None:
                     define(alpha, c)
         alpha += 1
-        if len(table) > COMPACT_THRESHOLD and n_dead[0] * 2 > len(table):
-            alpha = compact(alpha)
-            n_dead[0] = 0
+        if len(table) > threshold and n_dead * 2 > len(table):
+            live, index = renumber()
+            alpha = sum(1 for c in live if c < alpha)
+            table[:] = [[None if e is None else index[e] for e in table[old]]
+                        for old in live]
+            p[:] = range(len(live))
+            n_dead = 0
 
-    live = [c for c in range(len(table)) if rep(c) == c]
-    remap = {old: new for new, old in enumerate(live)}
+    live, index = renumber()
+    layout = [col[x] for g in range(1, P.n_generators + 1) for x in (g, -g)]
     rows = []
     for old in live:
         row = table[old]
-        if any(e is None for e in row):
+        if None in row:
             raise VerifierError("incomplete row survived enumeration")
-        rows.append(tuple(remap[rep(e)] for e in row))
+        rows.append(tuple(index[row[c]] for c in layout))
     return CosetTable(P.n_generators, tuple(rows), "complete")
 
 

@@ -188,6 +188,45 @@ MALFORMED_DIAGRAMS = {
 }
 
 
+def map_fixture(**changes) -> dict:
+    """The corrupted-map fixture with keys replaced (None deletes a key)."""
+    obj = json.load(open(FIXTURES / "corrupted-map.json"))
+    for key, value in changes.items():
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    return obj
+
+
+MALFORMED_MAP_FIXTURES = {
+    "missing-diagram": map_fixture(diagram=None),
+    "missing-k": map_fixture(k=None),
+    "string-k": map_fixture(k="x"),
+    "fractional-k": map_fixture(k=1.5),
+    "boolean-k": map_fixture(k=True),
+    "k-out-of-range": map_fixture(k=4),
+    "malformed-diagram": map_fixture(diagram={"n": 3}),
+    "images-not-a-list": map_fixture(images=5),
+    "image-not-a-list": map_fixture(images=[[[1, 1]], 2, [[3, 1]]]),
+    "letter-not-a-pair": map_fixture(images=[[[1, 1]], [[2]], [[3, 1]]]),
+    "letter-sign-two": map_fixture(images=[[[1, 1]], [[1, 2]], [[3, 1]]]),
+    "letter-generator-zero": map_fixture(images=[[[1, 1]], [[0, 1]], [[3, 1]]]),
+    "fractional-generator": map_fixture(images=[[[1, 1]], [[1.5, 1]], [[3, 1]]]),
+    "too-few-images": map_fixture(images=[[[1, 1]], [[2, 1]]]),
+    "image-outside-target": map_fixture(images=[[[1, 1]], [[4, 1]], [[3, 1]]]),
+    "label-not-a-string": map_fixture(label=5),
+}
+
+
+def assert_clean_error(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("obj", MALFORMED_DIAGRAMS.values(),
                              ids=MALFORMED_DIAGRAMS.keys())
@@ -195,12 +234,14 @@ class TestMalformedInput:
     def test_clean_error_line(self, capsys, tmp_path, obj, command):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
-        code = main([command, str(path), "-k", "1"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert len(captured.err.splitlines()) == 1
+        assert_clean_error(capsys, main([command, str(path), "-k", "1"]))
+
+    @pytest.mark.parametrize("obj", MALFORMED_MAP_FIXTURES.values(),
+                             ids=MALFORMED_MAP_FIXTURES.keys())
+    def test_map_fixture_clean_error_line(self, capsys, tmp_path, obj):
+        path = tmp_path / "bad-map.json"
+        path.write_text(json.dumps(obj))
+        assert_clean_error(capsys, main(["verify", str(path)]))
 
 
 class TestEnumerate:

@@ -1,3 +1,6 @@
+import random
+from itertools import permutations, product
+
 import pytest
 import sympy
 
@@ -7,6 +10,7 @@ from cluster_artin import (
     Diagram,
     DiagramError,
     ExchangeMatrix,
+    MutationError,
     canonical_diagram,
     canonical_form,
     chordless_cycles,
@@ -18,7 +22,7 @@ from cluster_artin import (
     mutation_class,
     opposite,
 )
-from cluster_artin.diagram import CPRIME_TABLE
+from cluster_artin.diagram import _canonical_placement, _cprime
 
 from conftest import CLASS_SIZES, DYNKIN, SQUARE, TRIANGLE_221, random_two_finite_matrix
 
@@ -148,9 +152,17 @@ class TestDiagramMutation:
         assert mutate_diagram(G, 2) == Diagram(2, ((2, 1, 3),))
 
     def test_cprime_table_against_symbolic_identity(self):
-        # Independent check of the lookup table: solve
-        # (+/-)sqrt(c) + sqrt(c') = sqrt(ab) over exact symbolic radicals.
-        for (a, b, c, closes), (cp, direction) in CPRIME_TABLE.items():
+        # Independent check of the weight update on every configuration with
+        # weights a, b in 1..3 and third side c in 0..3: solve
+        # (+/-)sqrt(c) + sqrt(c') = sqrt(ab) over exact symbolic radicals,
+        # and expect MutationError exactly where sqrt(abc) is irrational.
+        for a, b, c, closes in product((1, 2, 3), (1, 2, 3), range(4),
+                                       (False, True)):
+            if not sympy.sqrt(a * b * c).is_integer:
+                with pytest.raises(MutationError):
+                    _cprime(a, b, c, closes)
+                continue
+            cp, direction = _cprime(a, b, c, closes)
             root_ab = sympy.sqrt(a * b)
             root_c = sympy.sqrt(c)
             signed = root_ab - root_c if closes else root_ab + root_c
@@ -273,7 +285,62 @@ class TestCanonicalForm:
         assert canonical_form(a) == canonical_form(a.relabel(perm))
 
 
+def path_diagram(n: int) -> Diagram:
+    return Diagram(n, tuple((i, i + 1, 1) for i in range(1, n)))
+
+
+# Dynkin diagrams beyond conftest's, one orientation each.
+MORE_DYNKIN = {
+    **{f"A{n}": path_diagram(n) for n in range(3, 9)},
+    "B4": Diagram(4, ((1, 2, 1), (2, 3, 1), (3, 4, 2))),
+    "D4": DYNKIN["D4"],
+    "F4": Diagram(4, ((1, 2, 1), (2, 3, 2), (3, 4, 1))),
+    "E6": Diagram(6, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (3, 6, 1))),
+    "E7": Diagram(7, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1),
+                      (3, 7, 1))),
+}
+
+# Published mutation-class sizes: A_n from Torkildsen (arXiv:0801.3762),
+# E6 and E7 from the finite mutation-type census.  E8 (1574 members, a few
+# seconds) is left out to keep the suite quick.
+PUBLISHED_CLASS_SIZES = {
+    "A3": 4, "A4": 6, "A5": 19, "A6": 49, "A7": 150, "A8": 442,
+    "E6": 67, "E7": 416,
+}
+
+
+def brute_force_placement(G: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reference canonical placement: the first permutation, in lexicographic
+    order, whose column-wise encoding is least."""
+    best_enc = best_perm = None
+    for perm in permutations(range(1, G.n + 1)):
+        enc = tuple(G.arrow(perm[p], perm[q]) - G.arrow(perm[q], perm[p])
+                    for q in range(G.n) for p in range(q))
+        if best_enc is None or enc < best_enc:
+            best_enc, best_perm = enc, perm
+    return best_perm, best_enc
+
+
+class TestCanonicalPlacementAgainstBruteForce:
+    @pytest.mark.parametrize("name", ("A5", "B4", "F4", "D4", "E6"))
+    def test_every_class_member_and_relabelling(self, name):
+        rng = random.Random(f"canonical:{name}")
+        for D in mutation_class(MORE_DYNKIN[name]):
+            copies = [D]
+            for _ in range(2):
+                labels = list(range(1, D.n + 1))
+                rng.shuffle(labels)
+                copies.append(D.relabel(dict(zip(range(1, D.n + 1), labels))))
+            for G in copies:
+                assert _canonical_placement(G) == brute_force_placement(G)
+
+
 class TestMutationClass:
+    @pytest.mark.parametrize("name", PUBLISHED_CLASS_SIZES)
+    def test_published_class_sizes(self, name):
+        size = len(mutation_class(MORE_DYNKIN[name]))
+        assert size == PUBLISHED_CLASS_SIZES[name]
+
     def test_single_edge_class(self):
         assert len(mutation_class(Diagram(2, ((1, 2, 1),)))) == 1
 

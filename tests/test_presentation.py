@@ -55,6 +55,14 @@ class TestWords:
         assert w.to_json() == [[1, 1], [2, -1]]
         assert Word.from_json(w.to_json()) == w
 
+    @pytest.mark.parametrize("obj", (
+        5, [5], [[1]], [[1, 1, 1]], [[0, 1]], [[-1, 1]], [[1, 2]],
+        [[1.5, 1]], [[True, 1]], [[1, "1"]],
+    ))
+    def test_json_rejects_malformed_words(self, obj):
+        with pytest.raises(PresentationError):
+            Word.from_json(obj)
+
     @given(letter_seqs)
     def test_reduce_idempotent(self, seq):
         once = free_reduce(seq)

@@ -31,7 +31,12 @@ from cluster_artin import (
     verify_mutation_invariance,
     word_trivial_in_coxeter,
 )
-from cluster_artin.verifier import DEFAULT_BUDGET, CappedTableError
+from cluster_artin.verifier import (
+    DEFAULT_BUDGET,
+    DEFAULT_COSET_CAP,
+    CappedTableError,
+    CosetTable,
+)
 
 from conftest import (
     DYNKIN,
@@ -78,6 +83,11 @@ class TestToddCoxeter:
         table = todd_coxeter(coxeter_presentation(DYNKIN["D4"]), coset_cap=10)
         assert table.status == "capped"
         assert table.order is None
+        # Tables that mix self-inverse columns and column pairs stop too.
+        for name in ("mixed-columns", "order-42"):
+            table = todd_coxeter(TC_PRESENTATIONS[name](), coset_cap=2)
+            assert table.status == "capped", name
+            assert table.order is None, name
 
     def test_deterministic(self):
         P = coxeter_presentation(DYNKIN["B3"])
@@ -165,6 +175,199 @@ class TestWordTrivialAgainstEveryCoset:
         assert table.status == "capped"
         with pytest.raises(CappedTableError):
             word_trivial_in_coxeter(table, Word(()))
+
+
+def reference_todd_coxeter(P: Presentation,
+                           coset_cap: int = DEFAULT_COSET_CAP) -> CosetTable:
+    """Reference enumeration: every generator gets a column and an inverse
+    column (c ^ 1), and every relator is scanned, involutions included."""
+    ncols = 2 * P.n_generators
+    relcols = [tuple(2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1
+                     for x in r.word.letters) for r in P.relators]
+    table: list[list] = [[None] * ncols]
+    p: list[int] = [0]
+    defined = 1
+
+    def rep(k):
+        root = k
+        while p[root] != root:
+            root = p[root]
+        while p[k] != root:
+            p[k], k = root, p[k]
+        return root
+
+    queue: list[int] = []
+
+    def merge(a, b):
+        a, b = rep(a), rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            p[b] = a
+            queue.append(b)
+
+    def coincidence(a, b):
+        merge(a, b)
+        qi = 0
+        while qi < len(queue):
+            gamma = queue[qi]
+            qi += 1
+            for c in range(ncols):
+                delta = table[gamma][c]
+                if delta is None:
+                    continue
+                table[delta][c ^ 1] = None
+                mu, nu = rep(gamma), rep(delta)
+                if table[mu][c] is not None:
+                    merge(nu, table[mu][c])
+                elif table[nu][c ^ 1] is not None:
+                    merge(mu, table[nu][c ^ 1])
+                else:
+                    table[mu][c] = nu
+                    table[nu][c ^ 1] = mu
+        queue.clear()
+
+    def define(alpha, c):
+        nonlocal defined
+        beta = len(table)
+        table.append([None] * ncols)
+        p.append(beta)
+        table[alpha][c] = beta
+        table[beta][c ^ 1] = alpha
+        defined += 1
+
+    def scan_and_fill(alpha, word):
+        f, i = alpha, 0
+        b, j = alpha, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] is not None:
+                f = table[f][word[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][word[j] ^ 1] is not None:
+                b = table[b][word[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][word[i]] = b
+                table[b][word[i] ^ 1] = f
+                return
+            define(f, word[i])
+
+    alpha = 0
+    while alpha < len(table):
+        if defined > coset_cap:
+            return CosetTable(P.n_generators, (), "capped")
+        if rep(alpha) == alpha:
+            for rel in relcols:
+                scan_and_fill(alpha, rel)
+                if rep(alpha) != alpha:
+                    break
+            if rep(alpha) == alpha:
+                for c in range(ncols):
+                    if table[alpha][c] is None:
+                        define(alpha, c)
+        alpha += 1
+    live = [c for c in range(len(table)) if rep(c) == c]
+    remap = {old: new for new, old in enumerate(live)}
+    return CosetTable(P.n_generators, tuple(
+        tuple(remap[rep(e)] for e in table[old]) for old in live), "complete")
+
+
+def small_presentation(n: int, *words: tuple[int, ...]) -> Presentation:
+    return Presentation(
+        n_generators=n,
+        relators=tuple(Relator(Word(w), "test", f"r{i}")
+                       for i, w in enumerate(words)),
+        mode="coxeter",
+        m_table=tuple((0,) * n for _ in range(n)),
+        label="test[" + ";".join(map(str, words)) + "]",
+    )
+
+
+TC_FIXTURES = ("a2", "b2", "g2", "a3", "b3", "b3-triangle", "d4", "square")
+TC_PRESENTATIONS = {
+    **{f"coxeter-{name}": (lambda name=name: coxeter_presentation(
+        Diagram.from_json(load_fixture(f"{name}.json")))) for name in TC_FIXTURES},
+    **{f"quotient-{name}": (lambda name=name: coxeter_quotient(artin_presentation(
+        Diagram.from_json(load_fixture(f"{name}.json"))))) for name in TC_FIXTURES},
+    # No involution relator: every generator keeps two columns.
+    "cyclic-3": lambda: small_presentation(1, (1, 1, 1)),
+    # One self-inverse column and one pair of columns: S3 of order 6.
+    "mixed-columns": lambda: small_presentation(
+        2, (1, 1), (2, 2, 2), (1, 2, 1, 2)),
+    # Involutions written with inverse letters: S3 again.
+    "inverse-involutions": lambda: small_presentation(
+        2, (-1, -1), (-2, -2), (1, 2, 1, 2, 1, 2)),
+    # Only involutions, none of them Coxeter-generated by a diagram.
+    "klein-four": lambda: small_presentation(2, (1, 1), (2, 2), (1, 2) * 2),
+    # Presentations that collapse a generator to the identity: coincidences
+    # meet self-inverse columns that point a coset at itself.
+    "collapse-to-one": lambda: small_presentation(
+        2, (1, 1), (2, 2), (1, 2) * 3, (1, 2, 1, 2, 1)),
+    "collapse-to-two": lambda: small_presentation(
+        2, (1, 1), (2, 2), (1, 2) * 2, (1, 2, 1)),
+    # The nonabelian group of order 21, b a b^-1 = a^2: inverting the letters
+    # of a relator in place does not give a relator, so a table whose +g and
+    # -g columns were swapped fails validation and the word checks.
+    "order-21": lambda: small_presentation(
+        2, (1,) * 7, (2, 2, 2), (2, 1, -2, -1, -1)),
+    # The same group beside an involution that inverts a: mixed columns with
+    # coincidences on both kinds.
+    "order-42": lambda: small_presentation(
+        3, (1,) * 7, (2, 2, 2), (2, 1, -2, -1, -1), (3, 3), (3, 1, 3, 1),
+        (3, 2, 3, -2)),
+}
+
+
+def assert_same_as_reference(P: Presentation) -> None:
+    table, ref = todd_coxeter(P), reference_todd_coxeter(P)
+    assert table.status == ref.status == "complete"
+    assert table.order == ref.order
+    assert table.validate(P)
+    rng = random.Random(f"todd-coxeter:{P.label}")
+    words = [r.word for r in P.relators]
+    words += [r.word.conjugate(random_word(rng, P.n_generators, 1, 4))
+              for r in P.relators]
+    words += [random_word(rng, P.n_generators, 0, 14) for _ in range(200)]
+    for w in words:
+        assert word_trivial_in_coxeter(table, w) == word_trivial_in_coxeter(
+            ref, w), w.letters
+
+
+class TestToddCoxeterAgainstReference:
+    @pytest.mark.parametrize("name", TC_PRESENTATIONS)
+    def test_orders_and_verdicts(self, name):
+        assert_same_as_reference(TC_PRESENTATIONS[name]())
+
+    @pytest.mark.parametrize("name", ("coxeter-b3", "coxeter-d4",
+                                      "quotient-square", "order-42"))
+    def test_with_compaction(self, name, monkeypatch):
+        import cluster_artin.verifier as verifier_module
+
+        monkeypatch.setattr(verifier_module, "COMPACT_THRESHOLD", 8)
+        assert_same_as_reference(TC_PRESENTATIONS[name]())
+
+    def test_known_orders(self):
+        known = {"cyclic-3": 3, "mixed-columns": 6, "inverse-involutions": 6,
+                 "klein-four": 4, "collapse-to-one": 1, "collapse-to-two": 2,
+                 "order-21": 21, "order-42": 42}
+        assert {name: todd_coxeter(TC_PRESENTATIONS[name]()).order
+                for name in known} == known
+
+    def test_inverse_involution_gets_the_same_column(self):
+        # (-g, -g) and (g, g) name the same involution: one self-inverse
+        # column and no scan, hence the very same table.
+        braid = (1, 2, 1, 2, 1, 2)
+        written_inverse = small_presentation(2, (-1, -1), (-2, -2), braid)
+        written_plain = small_presentation(2, (1, 1), (2, 2), braid)
+        assert todd_coxeter(written_inverse).rows == todd_coxeter(
+            written_plain).rows
+
 
 
 class TestAbelianization:
