@@ -2,9 +2,7 @@
 
 Inputs are JSON files holding either a diagram {"n": ..., "edges": [[i, j, w],
 ...]} or an exchange matrix {"B": [[...], ...]}; matrices are converted on
-ingestion.  All output is deterministic for a fixed invocation.  The
-environment variable ARTIN_MUTATE_THREADS caps worker threads in the library
-layers.
+ingestion.  All output is deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -217,7 +215,20 @@ def _verify_map_fixture(args, obj: dict) -> int:
 def cmd_verify(args) -> int:
     obj = _load_json(args.input)
     if isinstance(obj, dict) and "images" in obj:
+        flags = [flag for flag, given in (
+            ("--class", args.mutation_class),
+            ("--all-vertices", args.all_vertices),
+            ("-k", args.vertex is not None),
+            ("--fuzz", args.fuzz != 0)) if given]
+        if flags:
+            raise MappingError(
+                f"a map fixture takes no {', '.join(flags)}: "
+                "its diagram and vertex come from the file")
         return _verify_map_fixture(args, obj)
+    if args.all_vertices and args.vertex is not None:
+        raise DiagramError("pass -k VERTEX or --all-vertices, not both")
+    if not args.all_vertices and args.vertex is None:
+        raise DiagramError("pass -k VERTEX or --all-vertices")
     G = Diagram.from_json(obj)
     diagrams = mutation_class(G, cap=args.cap) if args.mutation_class else (G,)
     presenter = _presenter(args)
@@ -227,8 +238,6 @@ def cmd_verify(args) -> int:
     rank = {PASS: 0, INCONCLUSIVE: 1, FAIL: 2}
     for D in diagrams:
         vertices = range(1, D.n + 1) if args.all_vertices else [args.vertex]
-        if not args.all_vertices and args.vertex is None:
-            raise DiagramError("pass -k VERTEX or --all-vertices")
         for k in vertices:
             report = verify_mutation_invariance(
                 D, k, budget, args.coset_cap, presenter

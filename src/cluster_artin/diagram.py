@@ -15,8 +15,6 @@ Vertices are 1-based throughout, matching the usual figure labelling.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -43,14 +41,6 @@ DEFAULT_CLASS_BUDGET = 20_000
 DEFAULT_CANONICAL_BOUND = 12
 # Safety valve for the canonical search on near-regular graphs.
 _CANONICAL_PARTIAL_CAP = 200_000
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("ARTIN_MUTATE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -541,62 +531,56 @@ def _canonical_placement(G: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return partials[0], tuple(encoding)
 
 
-def canonical_form(G: Diagram, bound: int = DEFAULT_CANONICAL_BOUND) -> bytes:
-    """Relabelling-invariant byte encoding, minimal over all permutations."""
+def _canonical(G: Diagram, bound: int) -> tuple[bytes, Diagram]:
+    """Canonical byte encoding of G and its canonically relabelled copy."""
     if G.n > bound:
         raise DiagramError(f"canonical form limited to {bound} vertices")
-    _, enc = _canonical_placement(G)
-    return (f"{G.n}|" + ",".join(map(str, enc))).encode("ascii")
+    placement, enc = _canonical_placement(G)
+    perm = {old: pos + 1 for pos, old in enumerate(placement)}
+    return (f"{G.n}|" + ",".join(map(str, enc))).encode("ascii"), G.relabel(perm)
+
+
+def canonical_form(G: Diagram, bound: int = DEFAULT_CANONICAL_BOUND) -> bytes:
+    """Relabelling-invariant byte encoding, minimal over all permutations."""
+    return _canonical(G, bound)[0]
 
 
 def canonical_diagram(G: Diagram, bound: int = DEFAULT_CANONICAL_BOUND) -> Diagram:
     """The canonically relabelled copy of G."""
-    if G.n > bound:
-        raise DiagramError(f"canonical form limited to {bound} vertices")
-    placement, _ = _canonical_placement(G)
-    perm = {old: pos + 1 for pos, old in enumerate(placement)}
-    return G.relabel(perm)
+    return _canonical(G, bound)[1]
 
 
 def _class_bfs(G: Diagram, cap: int, stop_on_heavy: bool) -> tuple[bool, dict[bytes, Diagram]]:
     """BFS closure of the mutation class up to canonical form.
 
     Returns (hit_heavy_edge, members).  With stop_on_heavy the search aborts
-    as soon as any member has an edge weight above 3.
+    as soon as any member has an edge weight above 3.  Each diagram met costs
+    one canonical search.
     """
     if not G.is_connected():
         raise DiagramError("mutation class enumeration requires a connected diagram")
-    start = canonical_diagram(G)
-    members: dict[bytes, Diagram] = {canonical_form(start): start}
+    key, start = _canonical(G, DEFAULT_CANONICAL_BOUND)
+    members: dict[bytes, Diagram] = {key: start}
     if stop_on_heavy and start.max_weight() > 3:
         return True, members
     frontier = [start]
-    threads = _thread_count()
-
-    def expand(D: Diagram) -> list[Diagram]:
-        return [mutate_diagram(D, k) for k in range(1, D.n + 1)]
-
     while frontier:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                batches = list(pool.map(expand, frontier))
-        else:
-            batches = [expand(D) for D in frontier]
-        frontier = []
-        for batch in batches:
-            for D in batch:
-                key = canonical_form(D)
+        next_frontier = []
+        for member in frontier:
+            for k in range(1, member.n + 1):
+                D = mutate_diagram(member, k)
+                key, canon = _canonical(D, DEFAULT_CANONICAL_BOUND)
                 if key in members:
                     continue
-                canon = canonical_diagram(D)
                 members[key] = canon
-                frontier.append(canon)
+                next_frontier.append(canon)
                 if stop_on_heavy and D.max_weight() > 3:
                     return True, members
                 if len(members) > cap:
                     raise BudgetExceededError(
                         f"mutation class exceeded budget of {cap} diagrams"
                     )
+        frontier = next_frontier
     return False, members
 
 

@@ -18,7 +18,13 @@ import math
 from dataclasses import dataclass, replace
 from itertools import permutations
 
-from .diagram import ChordlessCycle, CycleClass, Diagram, chordless_cycles
+from .diagram import (
+    ChordlessCycle,
+    CycleClass,
+    Diagram,
+    DiagramError,
+    chordless_cycles,
+)
 from .radicals import ONE, sqrt_of_int
 
 
@@ -477,11 +483,29 @@ class T4Pattern:
 
     @staticmethod
     def from_json(obj: dict) -> "T4Pattern":
-        return T4Pattern(int(obj["row"]), Diagram.from_json(obj["diagram"]))
+        """A pattern from {"row": integer, "diagram": diagram JSON}; else raise."""
+        if not isinstance(obj, dict) or "row" not in obj or "diagram" not in obj:
+            raise PresentationError(
+                f'a (T4) pattern needs "row" and "diagram", got {obj!r}')
+        row = obj["row"]
+        # type() rather than isinstance(): JSON booleans are not rows.
+        if type(row) is not int:
+            raise PresentationError(
+                f'(T4) pattern "row" must be an integer, got {row!r}')
+        try:
+            diagram = Diagram.from_json(obj["diagram"])
+        except DiagramError as exc:
+            raise PresentationError(f"(T4) pattern diagram: {exc}") from exc
+        return T4Pattern(row, diagram)
 
 
 def load_t4_patterns(obj: dict) -> tuple[T4Pattern, ...]:
-    return tuple(T4Pattern.from_json(p) for p in obj.get("patterns", []))
+    """The patterns of a {"patterns": [pattern, ...]} library; anything else raises."""
+    patterns = obj.get("patterns") if isinstance(obj, dict) else None
+    if not isinstance(patterns, list):
+        raise PresentationError(
+            '(T4) pattern JSON must be an object with a "patterns" list')
+    return tuple(T4Pattern.from_json(p) for p in patterns)
 
 
 def t4_template_words(row: int, nv: int) -> tuple[tuple[int, ...], ...]:

@@ -21,11 +21,10 @@ hard error rather than recorded.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .diagram import Diagram, _thread_count
+from .diagram import Diagram
 from .mapping import GroupMap, Presenter, compose, phi, psi, transport
 from .presentation import (
     Presentation,
@@ -517,11 +516,6 @@ def quotient_table(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP) -> Coset
     return table
 
 
-def clear_caches() -> None:
-    _TABLE_CACHE.clear()
-    _MOVE_CACHE.clear()
-
-
 @dataclass(frozen=True)
 class RelatorCheck:
     relator: Relator
@@ -622,17 +616,8 @@ def verify_homomorphism(
     silence.
     """
     table = quotient_table(gmap.target, coset_cap)
-    jobs = [(r, transport(gmap, r.word)) for r in gmap.source.relators]
-    threads = _thread_count()
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            checks = list(pool.map(
-                lambda job: _check_one(gmap.target, table, job[0], job[1], budget),
-                jobs,
-            ))
-    else:
-        checks = [_check_one(gmap.target, table, r, img, budget)
-                  for r, img in jobs]
+    checks = [_check_one(gmap.target, table, r, transport(gmap, r.word), budget)
+              for r in gmap.source.relators]
     if any(c.failed for c in checks):
         status = FAIL
     elif all(c.certificate is not None for c in checks):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cluster_artin import cli
 from cluster_artin.cli import main
 
 from conftest import FIXTURES, GOLDEN
@@ -219,12 +220,51 @@ MALFORMED_MAP_FIXTURES = {
 }
 
 
+# verify invocations whose flags conflict with each other or with a map
+# fixture, and the flags the error line must name.
+VERIFY_FLAG_CONFLICTS = {
+    "map-fixture-class": (("corrupted-map.json", "--class"), ("--class",)),
+    "map-fixture-all-vertices": (("corrupted-map.json", "--all-vertices"),
+                                 ("--all-vertices",)),
+    "map-fixture-k": (("corrupted-map.json", "-k", "2"), ("-k",)),
+    "map-fixture-fuzz": (("corrupted-map.json", "--fuzz", "5"), ("--fuzz",)),
+    "map-fixture-every-flag": (
+        ("corrupted-map.json", "--class", "--all-vertices", "--fuzz", "5",
+         "--format", "text"),
+        ("--class", "--all-vertices", "--fuzz")),
+    "k-and-all-vertices": (("a3.json", "-k", "2", "--all-vertices"),
+                           ("-k", "--all-vertices")),
+    "class-k-and-all-vertices": (
+        ("a3.json", "--class", "-k", "2", "--all-vertices"),
+        ("-k", "--all-vertices")),
+    "class-without-vertex": (("a3.json", "--class"), ("-k", "--all-vertices")),
+}
+
+
+# Four vertices, so that rows 1 and 2 (the coercions of true, "2" and 2.7)
+# have templates and a lenient parser would accept the file.
+_PATTERN_DIAGRAM = {"n": 4, "edges": [[1, 2, 1], [2, 3, 1], [3, 4, 1]]}
+
+MALFORMED_PATTERN_FILES = {
+    "top-level-list": [{"row": 5, "diagram": _PATTERN_DIAGRAM}],
+    "patterns-not-a-list": {"patterns": {"row": 5, "diagram": _PATTERN_DIAGRAM}},
+    "pattern-not-an-object": {"patterns": [5]},
+    "missing-row": {"patterns": [{"diagram": _PATTERN_DIAGRAM}]},
+    "missing-diagram": {"patterns": [{"row": 5}]},
+    "string-row": {"patterns": [{"row": "2", "diagram": _PATTERN_DIAGRAM}]},
+    "fractional-row": {"patterns": [{"row": 2.7, "diagram": _PATTERN_DIAGRAM}]},
+    "boolean-row": {"patterns": [{"row": True, "diagram": _PATTERN_DIAGRAM}]},
+    "malformed-diagram": {"patterns": [{"row": 5, "diagram": {"n": 3}}]},
+}
+
+
 def assert_clean_error(capsys, code):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+    return captured.err
 
 
 class TestMalformedInput:
@@ -242,6 +282,29 @@ class TestMalformedInput:
         path = tmp_path / "bad-map.json"
         path.write_text(json.dumps(obj))
         assert_clean_error(capsys, main(["verify", str(path)]))
+
+    @pytest.mark.parametrize("argv, named", VERIFY_FLAG_CONFLICTS.values(),
+                             ids=VERIFY_FLAG_CONFLICTS.keys())
+    def test_verify_flag_conflict_clean_error_line(self, capsys, monkeypatch,
+                                                   argv, named):
+        def class_bfs(*args, **kwargs):
+            raise AssertionError("flags must be checked before the class BFS")
+
+        monkeypatch.setattr(cli, "mutation_class", class_bfs)
+        name, *flags = argv
+        err = assert_clean_error(
+            capsys, main(["verify", str(FIXTURES / name), *flags]))
+        for flag in named:
+            assert flag in err
+
+    @pytest.mark.parametrize("obj", MALFORMED_PATTERN_FILES.values(),
+                             ids=MALFORMED_PATTERN_FILES.keys())
+    def test_pattern_file_clean_error_line(self, capsys, tmp_path, obj):
+        path = tmp_path / "bad-patterns.json"
+        path.write_text(json.dumps(obj))
+        assert_clean_error(capsys, main([
+            "present", str(FIXTURES / "affine-c2.json"), "--mode", "affine",
+            "--patterns", str(path)]))
 
 
 class TestEnumerate:

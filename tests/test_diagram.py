@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import permutations, product
 
@@ -22,6 +24,7 @@ from cluster_artin import (
     mutation_class,
     opposite,
 )
+from cluster_artin import diagram as diagram_module
 from cluster_artin.diagram import _canonical_placement, _cprime
 
 from conftest import CLASS_SIZES, DYNKIN, SQUARE, TRIANGLE_221, random_two_finite_matrix
@@ -340,6 +343,30 @@ class TestMutationClass:
     def test_published_class_sizes(self, name):
         size = len(mutation_class(MORE_DYNKIN[name]))
         assert size == PUBLISHED_CLASS_SIZES[name]
+
+    # One search for the start plus one per mutation of each member (n per
+    # member); the digests are sha256 of json.dumps([D.to_json() for D in
+    # members]) as the class BFS returned them when it searched twice per
+    # new member (344 and 3,329 searches).
+    @pytest.mark.parametrize("name, searches, digest", [
+        ("A6", 295,
+         "6c6258ec602d2f0b962b9b36cf30ce4d1c3493f35327d6edfb4b2f2ca6fe8246"),
+        ("E7", 2913,
+         "085847ad17aead042723e02217419a4b363f568b8b11f66f91dd6215354e9e97"),
+    ])
+    def test_one_canonical_search_per_diagram_met(self, monkeypatch, name,
+                                                  searches, digest):
+        calls = []
+
+        def counted(G):
+            calls.append(G)
+            return _canonical_placement(G)
+
+        monkeypatch.setattr(diagram_module, "_canonical_placement", counted)
+        members = mutation_class(MORE_DYNKIN[name])
+        assert len(calls) == searches == 1 + MORE_DYNKIN[name].n * len(members)
+        blob = json.dumps([D.to_json() for D in members]).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_single_edge_class(self):
         assert len(mutation_class(Diagram(2, ((1, 2, 1),)))) == 1
