@@ -59,6 +59,7 @@ from .verifier import (
     abelianization_check,
     derive_t3_rotations,
     fuzz_soundness,
+    group_order,
     prove_trivial,
     quotient_table,
     replay_certificate,

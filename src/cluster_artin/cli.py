@@ -38,7 +38,7 @@ from .verifier import (
     SearchBudget,
     VerifierError,
     fuzz_soundness,
-    todd_coxeter,
+    group_order,
     verify_homomorphism,
     verify_mutation_invariance,
 )
@@ -61,14 +61,30 @@ def _emit(obj, fmt: str, text_renderer=None) -> None:
         sys.stdout.write(text_renderer(obj))
 
 
+def _check_presenter_flags(args) -> None:
+    """Reject presenter flags that the chosen presentation would ignore."""
+    affine = args.mode == "affine"
+    if getattr(args, "kind", "artin") == "coxeter":
+        flags = [flag for flag, given in (
+            ("--mode affine", affine),
+            ("--minimal-t3", args.minimal_t3),
+            ("--patterns", args.patterns is not None)) if given]
+        if flags:
+            raise PresentationError(
+                f"--kind coxeter takes no {', '.join(flags)}")
+    elif args.patterns is not None and not affine:
+        raise PresentationError("--patterns needs --mode affine")
+    elif args.minimal_t3 and affine:
+        raise PresentationError("--minimal-t3 does not apply to --mode affine")
+
+
 def _presenter(args):
     if args.mode == "affine":
         patterns = ()
-        if getattr(args, "patterns", None):
+        if args.patterns is not None:
             patterns = load_t4_patterns(_load_json(args.patterns))
         return functools.partial(affine_artin_presentation, t4_patterns=patterns)
-    return functools.partial(artin_presentation,
-                             minimal_t3=getattr(args, "minimal_t3", False))
+    return functools.partial(artin_presentation, minimal_t3=args.minimal_t3)
 
 
 def _int_at_least(low: int):
@@ -141,6 +157,7 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_present(args) -> int:
+    _check_presenter_flags(args)
     G = _load_diagram(args.input)
     if args.kind == "coxeter":
         P = coxeter_presentation(G)
@@ -156,16 +173,21 @@ def cmd_present(args) -> int:
 def cmd_enumerate(args) -> int:
     G = _load_diagram(args.input)
     members = mutation_class(G, cap=args.cap)
-    census = []
-    orders = set()
+    # Every member's cycles and presentation come first, so that a diagram
+    # outside the finite-type taxonomy fails before any order is searched.
+    presented = []
     for D in members:
         counts: dict[str, int] = {}
         for c in chordless_cycles(D):
             counts[c.cycle_class.value] = counts.get(c.cycle_class.value, 0) + 1
-        table = todd_coxeter(coxeter_presentation(D), args.coset_cap)
-        orders.add(table.order)
+        presented.append((D, counts, coxeter_presentation(D)))
+    census = []
+    orders = set()
+    for D, counts, P in presented:
+        order = group_order(P, args.coset_cap)
+        orders.add(order)
         census.append({"diagram": D.to_json(), "cycles": counts,
-                       "coxeter_order": table.order})
+                       "coxeter_order": order})
     if len(orders) != 1:
         raise VerifierError(f"mutation class produced several orders: {orders}")
     payload = {
@@ -213,6 +235,7 @@ def _verify_map_fixture(args, obj: dict) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_presenter_flags(args)
     obj = _load_json(args.input)
     if isinstance(obj, dict) and "images" in obj:
         flags = [flag for flag, given in (

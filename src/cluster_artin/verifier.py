@@ -16,6 +16,14 @@ the two seams.
 Certificates are replayed by an independent code path before being reported;
 a replay failure or a certificate for a quotient-rejected word is raised as a
 hard error rather than recorded.
+
+Group orders (the `enumerate` census) come from `group_order`, a parabolic
+descent that needs no table of the whole group: the index of the subgroup
+generated by all generators but one, enumerated by `todd_coxeter` over that
+subgroup, times the order of the sub-presentation on those generators, found
+the same way, bounds the order from above.  A stabilizer chain of the
+permutation action on the cosets bounds it from below, and when the two
+meet the order is proved.  Otherwise a full table decides it.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import prod
 
 from .diagram import Diagram
 from .mapping import GroupMap, Presenter, compose, phi, psi, transport
@@ -53,29 +62,38 @@ class CappedTableError(VerifierError):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Action of the generators on cosets of the trivial subgroup.
+    """Action of the generators on the cosets of H = <subgroup>.
 
     Columns alternate generator, inverse: letter +g uses column 2(g-1) and
-    -g uses column 2(g-1)+1.  A complete table is the regular representation,
-    so its size is the group order.
+    -g uses column 2(g-1)+1.  Coset 0 is H itself.  Over the trivial
+    subgroup a complete table is the regular representation, so its size is
+    the group order; over a non-trivial one its size is the index of H.
     """
 
     n_generators: int
     rows: tuple[tuple[int, ...], ...]
     status: str  # "complete" | "capped"
+    subgroup: tuple[int, ...] = ()
 
     @property
     def order(self) -> int | None:
-        return len(self.rows) if self.status == "complete" else None
+        """The group order: None unless complete over the trivial subgroup."""
+        if self.status != "complete" or self.subgroup:
+            return None
+        return len(self.rows)
 
     def validate(self, P: Presentation) -> bool:
-        """Check the permutation property and that every relator scans home."""
+        """Check the permutation property, that every relator scans home,
+        and that every subgroup generator fixes coset 0."""
         if self.status != "complete":
             return False
+        if any(self.rows[0][_col(g)] != 0 for g in self.subgroup):
+            return False
         size = len(self.rows)
-        for c in range(2 * self.n_generators):
-            column = [row[c] for row in self.rows]
-            if sorted(column) != list(range(size)):
+        rows = self.rows
+        # Column c+1 inverting column c makes both permutations.
+        for c in range(0, 2 * self.n_generators, 2):
+            if any(rows[rows[k][c]][c + 1] != k for k in range(size)):
                 return False
         for rel in P.relators:
             cols = [_col(x) for x in rel.word.letters]
@@ -97,8 +115,12 @@ DEFAULT_COSET_CAP = 1_000_000
 COMPACT_THRESHOLD = 4096
 
 
-def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP) -> CosetTable:
-    """HLT-style coset enumeration of P over the trivial subgroup.
+def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
+                 subgroup: tuple[int, ...] = ()) -> CosetTable:
+    """HLT-style coset enumeration of P over H = <subgroup>.
+
+    `subgroup` lists generators (positive letters) of H, which are made to
+    fix coset 0 before the first scan; by default H is trivial.
 
     A generator with an involution relator, (g, g) or (-g, -g), gets one
     self-inverse column shared by +g and -g, and its involution relators are
@@ -134,6 +156,8 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP) -> CosetTa
         for r in P.relators if not is_involution(r)
     ]
     table: list[list[int | None]] = [[None] * ncols]
+    for g in subgroup:
+        table[0][col[g]] = table[0][inv[col[g]]] = 0
     p: list[int] = [0]
     queue: list[int] = []
     defined = 1
@@ -211,7 +235,7 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP) -> CosetTa
     alpha = 0
     while alpha < len(table):
         if defined > coset_cap:
-            return CosetTable(P.n_generators, (), "capped")
+            return CosetTable(P.n_generators, (), "capped", subgroup)
         if p[alpha] != alpha:
             alpha += 1
             continue
@@ -269,7 +293,7 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP) -> CosetTa
         if None in row:
             raise VerifierError("incomplete row survived enumeration")
         rows.append(tuple(index[row[c]] for c in layout))
-    return CosetTable(P.n_generators, tuple(rows), "complete")
+    return CosetTable(P.n_generators, tuple(rows), "complete", subgroup)
 
 
 def word_trivial_in_coxeter(table: CosetTable, w: Word) -> bool:
@@ -280,11 +304,195 @@ def word_trivial_in_coxeter(table: CosetTable, w: Word) -> bool:
     """
     if table.status != "complete":
         raise CappedTableError("capped table cannot decide triviality")
+    if table.subgroup:
+        raise VerifierError("a table over a non-trivial subgroup cannot "
+                            "decide triviality")
     rows = table.rows
     cur = 0
     for x in w.letters:
         cur = rows[cur][_col(x)]
     return cur == 0
+
+
+# ---------------------------------------------------------------------------
+# Group orders by parabolic descent
+
+# Consecutive random elements that sift to the identity before a stabilizer
+# chain short of its target counts as stalled.  A uniformly random element
+# of a group sifts to the identity through a chain that is short of the
+# group with probability at most 1/2.
+STALL_PATIENCE = 64
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation p, then q."""
+    return tuple(map(q.__getitem__, p))
+
+
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def _order_lower_bound(gens: list[tuple[int, ...]], target: int) -> int:
+    """A lower bound on the order of the group <gens>, built up to `target`.
+
+    Random Schreier-Sims on permutations of range(degree), stopped as soon
+    as the bound reaches `target`.  Level j holds elements of the group that
+    fix the base points before b_j, and the orbit of b_j under them, each
+    orbit point with an element carrying it back to b_j.  That orbit lies in
+    the orbit of b_j under the pointwise stabilizer of the earlier base
+    points, so at every stage the product of the orbit lengths is at most
+    the group order.  Seeded product-replacement elements are sifted down
+    the chain; one that does not sift to the identity joins the level where
+    it stopped and every level above it.  The search ends at `target`, or
+    after STALL_PATIENCE consecutive elements that sift to the identity.
+    """
+    degree = len(gens[0])
+    identity = tuple(range(degree))
+    base: list[int] = []
+    levels: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
+    orbits: list[dict[int, tuple[int, ...]]] = []
+
+    def extend(h: tuple[int, ...]) -> bool:
+        """Sift h; unless it reaches the identity, add it to the chain."""
+        for j, b in enumerate(base):
+            back = orbits[j].get(h[b])
+            if back is None:
+                break
+            h = _compose(h, back)
+        else:
+            if h == identity:
+                return False
+            j = len(base)
+            b = next(x for x in range(degree) if h[x] != x)
+            base.append(b)
+            levels.append([])
+            orbits.append({b: identity})
+        h_inv = _inverse(h)
+        for i in range(j + 1):
+            levels[i].append((h, h_inv))
+            orbit = orbits[i]
+            fresh = []
+            for x in list(orbit):
+                if h[x] not in orbit:
+                    orbit[h[x]] = _compose(h_inv, orbit[x])
+                    fresh.append(h[x])
+            for y in fresh:
+                for g, g_inv in levels[i]:
+                    if g[y] not in orbit:
+                        orbit[g[y]] = _compose(g_inv, orbit[y])
+                        fresh.append(g[y])
+        return True
+
+    def bound() -> int:
+        return prod(len(orbit) for orbit in orbits)
+
+    for g in gens:
+        extend(g)
+    rng = random.Random(0)
+    pool = list(gens) * (10 // len(gens) + 1)
+    accumulator = identity
+
+    def pseudo_random() -> tuple[int, ...]:
+        nonlocal accumulator
+        i, j = rng.sample(range(len(pool)), 2)
+        pool[i] = (_compose(pool[i], pool[j]) if rng.random() < 0.5
+                   else _compose(pool[j], pool[i]))
+        accumulator = _compose(accumulator, pool[i])
+        return accumulator
+
+    for _ in range(50):
+        pseudo_random()
+    stalled = 0
+    while bound() < target and stalled < STALL_PATIENCE:
+        stalled = 0 if extend(pseudo_random()) else stalled + 1
+    return bound()
+
+
+def _descent_candidates(P: Presentation) -> list[int]:
+    """Generators whose removal cuts no component of the graph
+    {i ~ j : m_ij != 2} in two; on a connected graph, those whose removal
+    leaves it connected."""
+    n = P.n_generators
+    adjacent = [[j for j in range(n) if j != i and P.m_table[i][j] != 2]
+                for i in range(n)]
+    candidates = []
+    for v in range(n):
+        stack = adjacent[v][:1]
+        seen = {v, *stack}
+        while stack:
+            for y in adjacent[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if seen.issuperset(adjacent[v]):
+            candidates.append(v + 1)
+    return candidates
+
+
+def _without_generator(P: Presentation, v: int) -> Presentation:
+    """The relators of P that avoid generator v, over the other generators
+    relabelled in order onto 1..n-1, with m_table restricted to them."""
+    def relabel(x: int) -> int:
+        return x if abs(x) < v else x - 1 if x > 0 else x + 1
+
+    keep = [i for i in range(P.n_generators) if i != v - 1]
+    return Presentation(
+        n_generators=P.n_generators - 1,
+        relators=tuple(
+            Relator(Word(tuple(map(relabel, r.word.letters))), r.family,
+                    r.provenance)
+            for r in P.relators if all(abs(x) != v for x in r.word.letters)),
+        mode=P.mode,
+        m_table=tuple(tuple(P.m_table[i][j] for j in keep) for i in keep),
+        label=f"{P.label}\\{v}",
+    )
+
+
+def group_order(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP) -> int | None:
+    """The order of the group G that P presents; None when undecided.
+
+    Parabolic descent.  Among the generators v from `_descent_candidates`,
+    take the one whose H = <all generators but v> has the smallest index.
+    Each candidate is enumerated under `coset_cap`, and once one completes,
+    under twice the smallest index so far: HLT defined at most 1.3 times
+    the index on sampled E8 class members, so a smaller index still
+    completes.  A candidate that caps is skipped.  The relators of P that
+    avoid v present a group mapping onto H; let u be its order, found the
+    same way.  Then |G| = [G:H] |H| <= [G:H] u.  The validated coset table
+    of H is a permutation action of G, so a stabilizer chain of its image
+    that reaches [G:H] u proves |G| = [G:H] u.  Otherwise (the action is
+    unfaithful, u is None or the chain stalls) the full table
+    `todd_coxeter(P, coset_cap)` decides.  None means that no candidate
+    completed under the cap, as for an infinite group, or that the full
+    table capped.
+    """
+    n = P.n_generators
+    if n == 0:
+        return 1
+    best = None
+    for v in _descent_candidates(P):
+        cap = coset_cap if best is None else min(coset_cap, 2 * len(best[1].rows))
+        table = todd_coxeter(P, cap, tuple(g for g in range(1, n + 1) if g != v))
+        if table.status == "complete" and (
+                best is None or len(table.rows) < len(best[1].rows)):
+            best = v, table
+    if best is None:
+        return None
+    v, table = best
+    if not table.validate(P):
+        raise VerifierError(f"coset table of {P.label} over all generators "
+                            f"but {v} failed validation")
+    u = group_order(_without_generator(P, v), coset_cap)
+    if u is not None:
+        bound = len(table.rows) * u
+        columns = [tuple(row[2 * g] for row in table.rows) for g in range(n)]
+        if _order_lower_bound(columns, bound) == bound:
+            return bound
+    return todd_coxeter(P, coset_cap).order
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,11 @@ DYNKIN = {
     "G2": Diagram(2, ((1, 2, 3),)),
 }
 
+def path_diagram(n: int) -> Diagram:
+    """The Dynkin diagram A_n, arrows i -> i+1."""
+    return Diagram(n, tuple((i, i + 1, 1) for i in range(1, n)))
+
+
 # Worked examples: the all-weight-1 square, the (2,2,1) triangle, and the
 # square with two opposite weight-2 edges.
 SQUARE = Diagram(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1)))

@@ -241,6 +241,43 @@ VERIFY_FLAG_CONFLICTS = {
 }
 
 
+# Presenter flags that the chosen presentation would drop, and the flags the
+# error line must name.
+_PATTERNS = str(FIXTURES / "t4-patterns.json")
+PRESENTER_FLAG_CONFLICTS = {
+    "present-patterns-finite": (
+        ("present", "a3.json", "--patterns", _PATTERNS), ("--patterns",)),
+    "verify-patterns-finite": (
+        ("verify", "a3.json", "-k", "1", "--patterns", _PATTERNS),
+        ("--patterns",)),
+    "verify-class-patterns-finite": (
+        ("verify", "a3.json", "--class", "--all-vertices", "--patterns",
+         _PATTERNS), ("--patterns",)),
+    "map-fixture-patterns-finite": (
+        ("verify", "corrupted-map.json", "--patterns", _PATTERNS),
+        ("--patterns",)),
+    "present-minimal-t3-affine": (
+        ("present", "affine-c2.json", "--mode", "affine", "--minimal-t3"),
+        ("--minimal-t3",)),
+    "verify-minimal-t3-affine": (
+        ("verify", "affine-c2.json", "-k", "2", "--mode", "affine",
+         "--minimal-t3", "--patterns", _PATTERNS), ("--minimal-t3",)),
+    "coxeter-affine": (
+        ("present", "a3.json", "--kind", "coxeter", "--mode", "affine"),
+        ("--mode affine",)),
+    "coxeter-minimal-t3": (
+        ("present", "a3.json", "--kind", "coxeter", "--minimal-t3"),
+        ("--minimal-t3",)),
+    "coxeter-patterns": (
+        ("present", "a3.json", "--kind", "coxeter", "--patterns", _PATTERNS),
+        ("--patterns",)),
+    "coxeter-every-flag": (
+        ("present", "affine-c2.json", "--kind", "coxeter", "--mode", "affine",
+         "--minimal-t3", "--patterns", _PATTERNS),
+        ("--mode affine", "--minimal-t3", "--patterns")),
+}
+
+
 # Four vertices, so that rows 1 and 2 (the coercions of true, "2" and 2.7)
 # have templates and a lenient parser would accept the file.
 _PATTERN_DIAGRAM = {"n": 4, "edges": [[1, 2, 1], [2, 3, 1], [3, 4, 1]]}
@@ -297,6 +334,20 @@ class TestMalformedInput:
         for flag in named:
             assert flag in err
 
+    @pytest.mark.parametrize("argv, named", PRESENTER_FLAG_CONFLICTS.values(),
+                             ids=PRESENTER_FLAG_CONFLICTS.keys())
+    def test_presenter_flag_conflict_clean_error_line(self, capsys, monkeypatch,
+                                                      argv, named):
+        def class_bfs(*args, **kwargs):
+            raise AssertionError("flags must be checked before the class BFS")
+
+        monkeypatch.setattr(cli, "mutation_class", class_bfs)
+        command, name, *flags = argv
+        err = assert_clean_error(
+            capsys, main([command, str(FIXTURES / name), *flags]))
+        for flag in named:
+            assert flag in err
+
     @pytest.mark.parametrize("obj", MALFORMED_PATTERN_FILES.values(),
                              ids=MALFORMED_PATTERN_FILES.keys())
     def test_pattern_file_clean_error_line(self, capsys, tmp_path, obj):
@@ -329,6 +380,18 @@ class TestEnumerate:
         obj = json.loads(out)
         assert obj["count"] == 6
         assert obj["coxeter_order"] == 192
+
+
+    def test_outside_taxonomy_fails_before_any_order(self, capsys,
+                                                     monkeypatch):
+        def group_order(*args, **kwargs):
+            raise AssertionError("every member must be presented first")
+
+        monkeypatch.setattr(cli, "group_order", group_order)
+        err = assert_clean_error(
+            capsys, main(["enumerate", str(FIXTURES / "affine-c2.json")]))
+        assert err == ("error: cycle (1, 3, 2) with weights (2, 2, 4) is "
+                       "outside the finite-type taxonomy\n")
 
 
 class TestCyclesAndOpposite:

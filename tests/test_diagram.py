@@ -27,7 +27,14 @@ from cluster_artin import (
 from cluster_artin import diagram as diagram_module
 from cluster_artin.diagram import _canonical_placement, _cprime
 
-from conftest import CLASS_SIZES, DYNKIN, SQUARE, TRIANGLE_221, random_two_finite_matrix
+from conftest import (
+    CLASS_SIZES,
+    DYNKIN,
+    SQUARE,
+    TRIANGLE_221,
+    path_diagram,
+    random_two_finite_matrix,
+)
 
 
 class TestExchangeMatrix:
@@ -286,10 +293,6 @@ class TestCanonicalForm:
         a = Diagram(9, tuple((i, i + 1, 1) for i in range(1, 9)))
         perm = {i: 10 - i for i in range(1, 10)}
         assert canonical_form(a) == canonical_form(a.relabel(perm))
-
-
-def path_diagram(n: int) -> Diagram:
-    return Diagram(n, tuple((i, i + 1, 1) for i in range(1, n)))
 
 
 # Dynkin diagrams beyond conftest's, one orientation each.

@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from heapq import heappop, heappush
+from math import factorial, prod
 
 import pytest
 
@@ -20,6 +22,7 @@ from cluster_artin import (
     delta,
     derive_t3_rotations,
     fuzz_soundness,
+    group_order,
     mutation_class,
     phi,
     prove_trivial,
@@ -36,9 +39,12 @@ from cluster_artin.verifier import (
     DEFAULT_COSET_CAP,
     CappedTableError,
     CosetTable,
+    VerifierError,
+    _order_lower_bound,
 )
 
 from conftest import (
+    AFFINE_C2,
     DYNKIN,
     PENTAGON,
     SQUARE,
@@ -46,6 +52,7 @@ from conftest import (
     TRIANGLE_221,
     WEYL_ORDERS,
     load_fixture,
+    path_diagram,
 )
 
 
@@ -368,6 +375,193 @@ class TestToddCoxeterAgainstReference:
         assert todd_coxeter(written_inverse).rows == todd_coxeter(
             written_plain).rows
 
+
+
+E_DYNKIN = {
+    6: Diagram(6, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (3, 6, 1))),
+    7: Diagram(7, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1),
+                   (3, 7, 1))),
+    # Without vertex 7 this is E7: arms of 2, 3 and 1 vertices at vertex 3.
+    8: Diagram(8, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1),
+                   (6, 7, 1), (3, 8, 1))),
+}
+
+# Classes whose every member's order is checked against a full table.
+DESCENT_CLASSES = {
+    **{f"A{n}": path_diagram(n) for n in range(3, 7)},
+    "B3": DYNKIN["B3"],
+    "B4": Diagram(4, ((1, 2, 1), (2, 3, 1), (3, 4, 2))),
+    "D4": DYNKIN["D4"],
+    "D5": Diagram(5, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1))),
+    "F4": Diagram(4, ((1, 2, 1), (2, 3, 2), (3, 4, 1))),
+    "G2": DYNKIN["G2"],
+    "E6": E_DYNKIN[6],
+    "B3-triangle": TRIANGLE_221,
+}
+
+# |W| as the product of the degrees of the basic invariants.
+WEYL_BY_DEGREES = {
+    "A7": prod(range(2, 9)),
+    "A8": prod(range(2, 10)),
+    "E7": prod((2, 6, 8, 10, 12, 14, 18)),
+    "E8": prod((2, 8, 12, 14, 18, 20, 24, 30)),
+}
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """group_order's fallbacks, recorded as they happen: every full table
+    on more than one generator, and every stabilizer chain that stalls
+    short of its target.  (A one-generator presentation's only candidate
+    subgroup is trivial, so its table is no fallback.)"""
+    import cluster_artin.verifier as verifier_module
+
+    log = []
+    enumerate_cosets = verifier_module.todd_coxeter
+    lower_bound = verifier_module._order_lower_bound
+
+    def counting_todd_coxeter(P, coset_cap=DEFAULT_COSET_CAP, subgroup=()):
+        if not subgroup and P.n_generators > 1:
+            log.append(("full table", P.label))
+        return enumerate_cosets(P, coset_cap, subgroup)
+
+    def counting_lower_bound(gens, target):
+        bound = lower_bound(gens, target)
+        if bound != target:
+            log.append(("stall", bound, target))
+        return bound
+
+    monkeypatch.setattr(verifier_module, "todd_coxeter", counting_todd_coxeter)
+    monkeypatch.setattr(verifier_module, "_order_lower_bound",
+                        counting_lower_bound)
+    return log
+
+
+def closure_order(gens) -> int:
+    """Brute force: the size of the group the permutations generate."""
+    seen = {tuple(range(len(gens[0])))}
+    frontier = list(seen)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return len(seen)
+
+
+class TestGroupOrder:
+    @pytest.mark.parametrize("name", DESCENT_CLASSES)
+    def test_class_members_match_the_full_table(self, name, fallbacks):
+        for D in mutation_class(DESCENT_CLASSES[name]):
+            P = coxeter_presentation(D)
+            assert group_order(P) == todd_coxeter(P).order, D.edges
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("name", ("A7", "A8"))
+    def test_large_type_a_classes_match_the_degrees(self, name, fallbacks):
+        G = path_diagram(int(name[1:]))
+        assert {group_order(coxeter_presentation(D))
+                for D in mutation_class(G)} == {WEYL_BY_DEGREES[name]}
+        assert fallbacks == []
+
+    def test_seeded_e7_members_match_the_degrees(self, fallbacks):
+        members = random.Random("group-order:E7").sample(
+            mutation_class(E_DYNKIN[7]), 40)
+        for D in members:
+            assert group_order(coxeter_presentation(D)) == \
+                WEYL_BY_DEGREES["E7"], D.edges
+        assert fallbacks == []
+
+    def test_e8_matches_the_degrees(self, fallbacks):
+        assert group_order(coxeter_presentation(E_DYNKIN[8])) == \
+            WEYL_BY_DEGREES["E8"]
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("name", TC_PRESENTATIONS)
+    def test_any_finite_presentation_matches_the_full_table(self, name):
+        P = TC_PRESENTATIONS[name]()
+        assert group_order(P) == todd_coxeter(P).order
+
+    def test_unfaithful_coset_action_falls_back(self, fallbacks):
+        # In the Klein four group <b> is normal, so b fixes both cosets of
+        # <b>: the action on them has order 2 against the bound 2 * 2 = 4.
+        P = small_presentation(2, (1, 1), (2, 2), (1, 2) * 2)
+        assert group_order(P) == 4
+        assert ("full table", P.label) in fallbacks
+
+    def test_infinite_group_is_undecided_without_a_full_table(self, fallbacks):
+        assert group_order(coxeter_presentation(AFFINE_C2),
+                           coset_cap=2000) is None
+        assert fallbacks == []
+
+    def test_no_generators(self):
+        assert group_order(small_presentation(0)) == 1
+
+
+class TestSubgroupTables:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_symmetric_group_over_its_point_stabilizer(self, n):
+        P = coxeter_presentation(path_diagram(n - 1))
+        table = todd_coxeter(P, subgroup=tuple(range(1, n - 1)))
+        assert (table.status, len(table.rows), table.order) == (
+            "complete", n, None)
+        assert table.validate(P)
+
+    def test_e8_over_e7(self):
+        P = coxeter_presentation(E_DYNKIN[8])
+        table = todd_coxeter(P, subgroup=(1, 2, 3, 4, 5, 6, 8))
+        assert len(table.rows) == 240
+        assert table.validate(P)
+        assert table.subgroup == (1, 2, 3, 4, 5, 6, 8)
+
+    def test_validate_requires_the_subgroup_to_fix_coset_0(self):
+        P = coxeter_presentation(DYNKIN["A3"])
+        table = todd_coxeter(P, subgroup=(1, 2))
+        assert table.validate(P)
+        assert not replace(table, subgroup=(3,)).validate(P)
+
+    def test_validate_requires_inverse_columns(self):
+        # <a | a^3> scans home through the +a column alone, so a -a column
+        # that is a permutation but not the inverse must still fail.
+        P = small_presentation(1, (1, 1, 1))
+        table = todd_coxeter(P)
+        assert table.validate(P)
+        broken = tuple((row[0], row[0]) for row in table.rows)
+        assert not replace(table, rows=broken).validate(P)
+
+    def test_trivial_subgroup_is_the_default(self):
+        P = coxeter_presentation(DYNKIN["B3"])
+        assert todd_coxeter(P, subgroup=()) == todd_coxeter(P)
+        assert todd_coxeter(P).subgroup == ()
+
+    def test_word_check_refuses_a_subgroup_table(self):
+        table = todd_coxeter(coxeter_presentation(DYNKIN["A3"]),
+                             subgroup=(1, 2))
+        with pytest.raises(VerifierError):
+            word_trivial_in_coxeter(table, Word((3,)))
+
+    def test_capped_subgroup_table(self):
+        table = todd_coxeter(coxeter_presentation(AFFINE_C2), coset_cap=50,
+                             subgroup=(1, 2))
+        assert (table.status, table.subgroup, table.order) == (
+            "capped", (1, 2), None)
+
+
+class TestOrderLowerBound:
+    def test_equals_brute_force_closure(self):
+        rng = random.Random("order-lower-bound")
+        for _ in range(60):
+            degree = rng.randint(1, 7)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                p = list(range(degree))
+                rng.shuffle(p)
+                gens.append(tuple(p))
+            order = closure_order(gens)
+            assert _order_lower_bound(gens, factorial(degree)) == order, gens
+            assert _order_lower_bound(gens, order) == order, gens
 
 
 class TestAbelianization:
