@@ -44,9 +44,18 @@ from .verifier import (
 )
 
 
+class InputError(ValueError):
+    """An input file is not readable as JSON text."""
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8: {exc}") from None
+        except RecursionError:
+            raise InputError(f"{path} nests JSON too deeply") from None
 
 
 def _load_diagram(path: str) -> Diagram:
@@ -370,7 +379,7 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (DiagramError, PresentationError, MappingError, BudgetExceededError,
-            VerifierError, OSError, json.JSONDecodeError) as exc:
+            VerifierError, InputError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -531,23 +531,24 @@ def _canonical_placement(G: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return partials[0], tuple(encoding)
 
 
-def _canonical(G: Diagram, bound: int) -> tuple[bytes, Diagram]:
+def _canonical(G: Diagram) -> tuple[bytes, Diagram]:
     """Canonical byte encoding of G and its canonically relabelled copy."""
-    if G.n > bound:
-        raise DiagramError(f"canonical form limited to {bound} vertices")
+    if G.n > DEFAULT_CANONICAL_BOUND:
+        raise DiagramError(
+            f"canonical form limited to {DEFAULT_CANONICAL_BOUND} vertices")
     placement, enc = _canonical_placement(G)
     perm = {old: pos + 1 for pos, old in enumerate(placement)}
     return (f"{G.n}|" + ",".join(map(str, enc))).encode("ascii"), G.relabel(perm)
 
 
-def canonical_form(G: Diagram, bound: int = DEFAULT_CANONICAL_BOUND) -> bytes:
+def canonical_form(G: Diagram) -> bytes:
     """Relabelling-invariant byte encoding, minimal over all permutations."""
-    return _canonical(G, bound)[0]
+    return _canonical(G)[0]
 
 
-def canonical_diagram(G: Diagram, bound: int = DEFAULT_CANONICAL_BOUND) -> Diagram:
+def canonical_diagram(G: Diagram) -> Diagram:
     """The canonically relabelled copy of G."""
-    return _canonical(G, bound)[1]
+    return _canonical(G)[1]
 
 
 def _class_bfs(G: Diagram, cap: int, stop_on_heavy: bool) -> tuple[bool, dict[bytes, Diagram]]:
@@ -559,7 +560,7 @@ def _class_bfs(G: Diagram, cap: int, stop_on_heavy: bool) -> tuple[bool, dict[by
     """
     if not G.is_connected():
         raise DiagramError("mutation class enumeration requires a connected diagram")
-    key, start = _canonical(G, DEFAULT_CANONICAL_BOUND)
+    key, start = _canonical(G)
     members: dict[bytes, Diagram] = {key: start}
     if stop_on_heavy and start.max_weight() > 3:
         return True, members
@@ -569,7 +570,7 @@ def _class_bfs(G: Diagram, cap: int, stop_on_heavy: bool) -> tuple[bool, dict[by
         for member in frontier:
             for k in range(1, member.n + 1):
                 D = mutate_diagram(member, k)
-                key, canon = _canonical(D, DEFAULT_CANONICAL_BOUND)
+                key, canon = _canonical(D)
                 if key in members:
                     continue
                 members[key] = canon

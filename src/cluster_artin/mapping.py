@@ -2,10 +2,11 @@
 
 Three maps are provided.  For a mutation G' = mu_k(G), `phi(G, k)` sends the
 group of G' into the group of G by conjugating at k along arrows into k.
+`psi(G, k)` runs the other way, conjugating by the inverse at k along the
+same arrows, so on generators the round trips with phi reduce to the
+identity as free words, with no relations needed.  It equals the paper's
+composite delta' . phi_op . delta around the opposite diagram, where
 `delta(G)` inverts every generator into the group of the opposite diagram.
-`psi(G, k)` is the composite delta' . phi_op . delta running the other way
-around the mutation square; on generators the round trips with phi reduce to
-the identity as free words, with no relations needed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class GroupMap:
     target: Presentation
     images: tuple[Word, ...]
     label: str
-    stages: tuple["GroupMap", ...] = ()
 
     def __post_init__(self):
         if len(self.images) != self.source.n_generators:
@@ -71,7 +71,7 @@ def compose(outer: GroupMap, inner: GroupMap) -> GroupMap:
         )
     images = tuple(transport(outer, w) for w in inner.images)
     return GroupMap(inner.source, outer.target, images,
-                    f"{outer.label}.{inner.label}", stages=(inner, outer))
+                    f"{outer.label}.{inner.label}")
 
 
 def phi(G: Diagram, k: int, presenter: Presenter = artin_presentation) -> GroupMap:
@@ -98,21 +98,15 @@ def delta(G: Diagram, presenter: Presenter = artin_presentation) -> GroupMap:
 
 
 def psi(G: Diagram, k: int, presenter: Presenter = artin_presentation) -> GroupMap:
-    """The composite Delta' . phi_op . Delta from the group of G to that of mu_k(G).
+    """The reverse comparison map from the group of G into the group of mu_k(G).
 
-    phi_op is the comparison map based at the opposite of the mutated diagram;
-    the composite is stored stage by stage so reports can show intermediate
-    words exactly as in the proof.
+    A generator s_i maps to r_k^-1 r_i r_k exactly when G has an arrow
+    i -> k, and to r_i otherwise; this is delta' . phi_op . delta written
+    out on generators.  Both presentations are phi's, with the roles swapped.
     """
-    d1 = delta(G, presenter)
-    base_op = mutate_diagram(opposite(G), k)
-    f_op = phi(base_op, k, presenter)
-    d2 = delta(base_op, presenter)
-    if d1.target.label != f_op.source.label or f_op.target.label != d2.source.label:
-        raise MappingError("mutation and opposite failed to commute")
+    f = phi(G, k, presenter)
     images = tuple(
-        transport(d2, transport(f_op, transport(d1, Word((i,)))))
+        Word((-k, i, k)) if G.arrow(i, k) else Word((i,))
         for i in range(1, G.n + 1)
     )
-    return GroupMap(d1.source, d2.target, images, f"Psi({k})",
-                    stages=(d1, f_op, d2))
+    return GroupMap(f.target, f.source, images, f"Psi({k})")

@@ -8,8 +8,9 @@ The Coxeter presentation carries the involution relators (R1), the braid
 relators (R2) and the cycle relators (R3a)/(R3b).  The Artin presentation
 drops the involutions and instead imposes (T2) braid relations for every
 vertex pair plus (T3) commutator relations t(i_a, i_{a+1}) = e on qualifying
-chordless cycle rotations.  Affine mode generalizes (T3) through the exact
-radical arithmetic of t(l) and adds user-supplied (T4) pattern relators.
+chordless cycle rotations.  Affine mode generalizes (T3) through the cycle
+exponent t(l), computed exactly in integers, and adds user-supplied (T4)
+pattern relators.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .diagram import (
     DiagramError,
     chordless_cycles,
 )
-from .radicals import ONE, sqrt_of_int
 
 
 class PresentationError(ValueError):
@@ -442,20 +442,16 @@ def affine_t_value(cycle: ChordlessCycle, l: int) -> int:
     """The exponent datum t(l) = (prod sqrt(w_j) - sqrt(w_closing))^2.
 
     The product runs over the d-1 weights starting at position l; the closing
-    weight is the remaining one.  Evaluated exactly in Z[sqrt2, sqrt3]; raises
-    UnsupportedCycleError outside {0, 1, 2, 3}.
+    weight c is the remaining one.  With P the product of those d-1 weights,
+    t(l) = P + c - 2*sqrt(Pc), an integer exactly when Pc is a perfect square;
+    raises UnsupportedCycleError unless it lies in {0, 1, 2, 3}.
     """
     d = len(cycle.weights)
-    try:
-        prod = ONE
-        for t in range(d - 1):
-            prod = prod * sqrt_of_int(cycle.weights[(l + t) % d])
-        closing = sqrt_of_int(cycle.weights[(l + d - 1) % d])
-    except ValueError as exc:
-        raise UnsupportedCycleError(str(exc)) from exc
-    diff = prod - closing
-    value = (diff * diff).as_int()
-    if value is None or value not in _M_OF_T:
+    P = math.prod(cycle.weights[(l + t) % d] for t in range(d - 1))
+    c = cycle.weights[(l + d - 1) % d]
+    root = math.isqrt(P * c)
+    value = P + c - 2 * root if root * root == P * c else None
+    if value not in _M_OF_T:
         raise UnsupportedCycleError(
             f"t({l}) = {value} on cycle {cycle.vertices} is unsupported"
         )

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 import sympy
@@ -18,7 +19,6 @@ from cluster_artin import (
 )
 from cluster_artin.mapping import phi
 from cluster_artin.presentation import INFINITE_M, m_value, t4_template_words
-from cluster_artin.radicals import QuadInt, sqrt_of_int
 from cluster_artin.verifier import SearchBudget
 
 from conftest import AFFINE_C2, FIXTURES, SQUARE, SQUARE_1212, TRIANGLE_221
@@ -34,31 +34,21 @@ def sympy_t_value(weights, l):
     return sympy.simplify(value)
 
 
-class TestRadicals:
-    def test_multiplication_against_sympy(self, rng):
-        r2, r3, r6 = sympy.sqrt(2), sympy.sqrt(3), sympy.sqrt(6)
-
-        def to_sympy(q):
-            return q.a + q.b * r2 + q.c * r3 + q.d * r6
-
-        for _ in range(50):
-            x = QuadInt(*(rng.randint(-5, 5) for _ in range(4)))
-            y = QuadInt(*(rng.randint(-5, 5) for _ in range(4)))
-            assert sympy.expand(to_sympy(x) * to_sympy(y) - to_sympy(x * y)) == 0
-
-    def test_sqrt_of_int(self):
-        for w in (1, 2, 3, 4, 6, 8, 9, 12, 18, 24):
-            q = sqrt_of_int(w)
-            val = q.a + q.b * sympy.sqrt(2) + q.c * sympy.sqrt(3) + q.d * sympy.sqrt(6)
-            assert sympy.expand(val**2 - w) == 0
-
-    def test_unrepresentable_radical(self):
-        with pytest.raises(ValueError):
-            sqrt_of_int(5)
-
-    def test_as_int(self):
-        assert QuadInt(7).as_int() == 7
-        assert QuadInt(7, 1).as_int() is None
+class TestClosedFormExponent:
+    def test_every_triangle_rotation_against_sympy(self):
+        # all 64 oriented triangles with weights 1..4, each rotation l:
+        # a value exactly where the oracle is an integer in 0..3
+        for weights in product(range(1, 5), repeat=3):
+            G = Diagram(3, tuple(zip((1, 2, 3), (2, 3, 1), weights)))
+            (cycle,) = chordless_cycles(G, affine=True)
+            assert cycle.weights == weights
+            for l in range(3):
+                oracle = sympy_t_value(weights, l)
+                if oracle.is_Integer and 0 <= oracle <= 3:
+                    assert affine_t_value(cycle, l) == oracle
+                else:
+                    with pytest.raises(UnsupportedCycleError):
+                        affine_t_value(cycle, l)
 
 
 class TestAffineExponents:

@@ -294,6 +294,26 @@ MALFORMED_PATTERN_FILES = {
     "malformed-diagram": {"patterns": [{"row": 5, "diagram": {"n": 3}}]},
 }
 
+# Files json.load cannot read: bytes that are not UTF-8, and nesting deep
+# enough to exhaust the decoder's recursion.
+UNREADABLE_JSON = {
+    "not-utf8": b'\xff{"n": 2}',
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+UNREADABLE_INPUT_COMMANDS = {
+    "verify": ("verify", "{}", "-k", "1"),
+    "present": ("present", "{}"),
+    "cycles": ("cycles", "{}"),
+}
+
+UNREADABLE_PATTERNS_COMMANDS = {
+    "verify": ("verify", str(FIXTURES / "affine-c2.json"), "-k", "2",
+               "--mode", "affine", "--patterns", "{}"),
+    "present": ("present", str(FIXTURES / "affine-c2.json"),
+                "--mode", "affine", "--patterns", "{}"),
+}
+
 
 def assert_clean_error(capsys, code):
     captured = capsys.readouterr()
@@ -356,6 +376,28 @@ class TestMalformedInput:
         assert_clean_error(capsys, main([
             "present", str(FIXTURES / "affine-c2.json"), "--mode", "affine",
             "--patterns", str(path)]))
+
+    @pytest.mark.parametrize("raw", UNREADABLE_JSON.values(),
+                             ids=UNREADABLE_JSON.keys())
+    @pytest.mark.parametrize("argv", UNREADABLE_INPUT_COMMANDS.values(),
+                             ids=UNREADABLE_INPUT_COMMANDS.keys())
+    def test_unreadable_input_clean_error_line(self, capsys, tmp_path, raw,
+                                               argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert_clean_error(
+            capsys, main([a.format(path) for a in argv]))
+
+    @pytest.mark.parametrize("raw", UNREADABLE_JSON.values(),
+                             ids=UNREADABLE_JSON.keys())
+    @pytest.mark.parametrize("argv", UNREADABLE_PATTERNS_COMMANDS.values(),
+                             ids=UNREADABLE_PATTERNS_COMMANDS.keys())
+    def test_unreadable_pattern_file_clean_error_line(self, capsys, tmp_path,
+                                                      raw, argv):
+        path = tmp_path / "bad-patterns.json"
+        path.write_bytes(raw)
+        assert_clean_error(
+            capsys, main([a.format(path) for a in argv]))
 
 
 class TestEnumerate:

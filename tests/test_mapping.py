@@ -1,11 +1,17 @@
+import functools
+import json
+
 import pytest
 
 from cluster_artin import (
+    Diagram,
     MappingError,
     Word,
+    affine_artin_presentation,
     artin_presentation,
     compose,
     delta,
+    load_t4_patterns,
     mutate_diagram,
     mutation_class,
     opposite,
@@ -14,7 +20,10 @@ from cluster_artin import (
     transport,
 )
 
-from conftest import DYNKIN, SQUARE, TRIANGLE_221
+from conftest import AFFINE_C2, DYNKIN, FIXTURES, SQUARE, TRIANGLE_221
+
+B4 = Diagram(4, ((1, 2, 1), (2, 3, 1), (3, 4, 2)))
+F4 = Diagram(4, ((1, 2, 1), (2, 3, 2), (3, 4, 1)))
 
 
 class TestPhi:
@@ -56,10 +65,29 @@ class TestDelta:
         assert transport(d, Word((1, 2))).letters == (-1, -2)
 
 
+def assert_psi_is_the_composite(G, k, presenter=artin_presentation):
+    """psi(G, k) == Delta' . phi_op . Delta, phi_op based at op(mu_k(G))."""
+    base_op = mutate_diagram(opposite(G), k)
+    composite = compose(delta(base_op, presenter),
+                        compose(phi(base_op, k, presenter), delta(G, presenter)))
+    g = psi(G, k, presenter)
+    assert g.source == composite.source
+    assert g.target == composite.target
+    assert g.images == composite.images
+
+
 class TestPsi:
-    def test_has_three_stages(self):
-        g = psi(DYNKIN["A3"], 2)
-        assert [s.label for s in g.stages] == ["Delta", "Phi(2)", "Delta"]
+    def test_equals_the_composite_through_the_opposite(self):
+        for G in (DYNKIN["A3"], DYNKIN["B3"], DYNKIN["D4"], B4, F4):
+            for member in mutation_class(G):
+                for k in range(1, member.n + 1):
+                    assert_psi_is_the_composite(member, k)
+        with open(FIXTURES / "t4-patterns.json", encoding="utf-8") as fh:
+            patterns = load_t4_patterns(json.load(fh))
+        affine = functools.partial(affine_artin_presentation,
+                                   t4_patterns=patterns)
+        for k in range(1, AFFINE_C2.n + 1):
+            assert_psi_is_the_composite(AFFINE_C2, k, affine)
 
     def test_images_conjugate_with_inverse(self):
         G = DYNKIN["A3"]
@@ -79,19 +107,6 @@ class TestPsi:
                     for i in range(G.n):
                         assert gf.images[i].letters == (i + 1,)
                         assert fg.images[i].letters == (i + 1,)
-
-    def test_traced_case_from_the_composite(self):
-        # arrow i -> k: phi(r_i) = s_k s_i s_k^-1 transports through the
-        # stages to u_i^-1 and back to r_i
-        G = DYNKIN["A3"]
-        g = psi(G, 2)
-        d1, f_op, d2 = g.stages
-        w = transport(d1, Word((2, 1, -2)))
-        assert w.letters == (-2, -1, 2)
-        w = transport(f_op, w)
-        assert w.letters == (-1,)
-        w = transport(d2, w)
-        assert w.letters == (1,)
 
 
 class TestTransport:
@@ -140,7 +155,8 @@ class TestMapExport:
 
 class TestOppositeCommutation:
     def test_psi_needs_the_commuting_square(self):
-        # (op . mu_k) and (mu_k . op) agree on the nose, which psi relies on
+        # (op . mu_k) and (mu_k . op) agree on the nose, which the composite
+        # Delta' . phi_op . Delta relies on
         for G in mutation_class(DYNKIN["D4"]):
             for k in range(1, G.n + 1):
                 assert mutate_diagram(opposite(G), k) == opposite(

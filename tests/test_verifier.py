@@ -765,9 +765,6 @@ class TestSearchBudget:
         assert budget.max_nodes == 1_000_000
         assert budget.limit_for(Word((1, 2, 3))) == 3 + 16
 
-    def test_absolute_override(self):
-        assert SearchBudget(max_len=5).limit_for(Word((1, 2))) == 5
-
 
 class TestLemmaReplays:
     def test_weight_one_conjugation_identity(self):
@@ -884,6 +881,18 @@ class TestVerifyMutationInvariance:
         # the four-vertex case with a weight-2 chord collapsing
         G = Diagram(4, ((2, 1, 1), (1, 4, 2), (3, 4, 1), (2, 3, 2), (4, 2, 2)))
         assert verify_mutation_invariance(G, 1).status == "PASS"
+
+    def test_builds_four_presentations(self):
+        # phi's source and target, built once more by psi's call to phi
+        built = []
+
+        def presenter(G):
+            built.append(G)
+            return artin_presentation(G)
+
+        report = verify_mutation_invariance(DYNKIN["A3"], 2, presenter=presenter)
+        assert report.status == "PASS"
+        assert len(built) == 4
 
     def test_report_json_shape(self):
         report = verify_mutation_invariance(DYNKIN["A2"], 1)
