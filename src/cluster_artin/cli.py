@@ -190,23 +190,31 @@ def cmd_enumerate(args) -> int:
         for c in chordless_cycles(D):
             counts[c.cycle_class.value] = counts.get(c.cycle_class.value, 0) + 1
         presented.append((D, counts, coxeter_presentation(D)))
+    # Class members share most of their sub-presentations, so one memo
+    # decides each distinct one once.
+    memo: dict = {}
     census = []
-    orders = set()
+    decided = set()
     for D, counts, P in presented:
-        order = group_order(P, args.coset_cap)
-        orders.add(order)
+        order = group_order(P, args.coset_cap, memo)
+        if order is not None:
+            decided.add(order)
         census.append({"diagram": D.to_json(), "cycles": counts,
                        "coxeter_order": order})
-    if len(orders) != 1:
-        raise VerifierError(f"mutation class produced several orders: {orders}")
+    # Members left undecided under the cap stay null; only two different
+    # decided orders contradict each other.
+    if len(decided) > 1:
+        raise VerifierError(f"mutation class produced several orders: {decided}")
     payload = {
         "count": len(members),
-        "coxeter_order": orders.pop(),
+        "coxeter_order": decided.pop() if decided else None,
         "members": census,
     }
 
     def render(obj) -> str:
-        lines = [f"class size {obj['count']}, coxeter order {obj['coxeter_order']}"]
+        order = obj["coxeter_order"]
+        lines = [f"class size {obj['count']}, coxeter order "
+                 f"{'null' if order is None else order}"]
         for m in obj["members"]:
             lines.append(f"  {m['diagram']['edges']} cycles={m['cycles']}")
         return "\n".join(lines) + "\n"

@@ -24,7 +24,10 @@ generated by all generators but one, enumerated by `todd_coxeter` over that
 subgroup, times the order of the sub-presentation on those generators, found
 the same way, bounds the order from above.  A stabilizer chain of the
 permutation action on the cosets bounds it from below, and when the two
-meet the order is proved.  Otherwise a full table decides it.
+meet the order is proved.  Otherwise a full table decides it.  The
+candidate subgroups are enumerated in rounds under a doubling cap, so no
+table grows far past the smallest index.  The census passes one memo per
+class, so each distinct sub-presentation is decided once.
 """
 
 from __future__ import annotations
@@ -324,6 +327,9 @@ def word_trivial_in_coxeter(table: CosetTable, w: Word) -> bool:
 # group with probability at most 1/2.
 STALL_PATIENCE = 64
 
+# The coset cap of the first round of descent candidates in `group_order`.
+FIRST_ROUND_CAP = 64
+
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """The permutation p, then q."""
@@ -453,41 +459,67 @@ def _without_generator(P: Presentation, v: int) -> Presentation:
     )
 
 
-def group_order(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP) -> int | None:
+def group_order(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
+                memo: dict | None = None) -> int | None:
     """The order of the group G that P presents; None when undecided.
 
-    Parabolic descent.  Among the generators v from `_descent_candidates`,
-    take the one whose H = <all generators but v> has the smallest index.
-    Each candidate is enumerated under `coset_cap`, and once one completes,
-    under twice the smallest index so far: HLT defined at most 1.3 times
+    Parabolic descent.  The generators v from `_descent_candidates` are
+    enumerated as H = <all generators but v> in rounds, under a cap that
+    starts at FIRST_ROUND_CAP and doubles up to `coset_cap`, until a round
+    completes one; within a round, once one completes, later candidates run
+    under twice the smallest index so far (HLT defined at most 1.3 times
     the index on sampled E8 class members, so a smaller index still
-    completes.  A candidate that caps is skipped.  The relators of P that
-    avoid v present a group mapping onto H; let u be its order, found the
-    same way.  Then |G| = [G:H] |H| <= [G:H] u.  The validated coset table
-    of H is a permutation action of G, so a stabilizer chain of its image
-    that reaches [G:H] u proves |G| = [G:H] u.  Otherwise (the action is
-    unfaithful, u is None or the chain stalls) the full table
-    `todd_coxeter(P, coset_cap)` decides.  None means that no candidate
-    completed under the cap, as for an infinite group, or that the full
-    table capped.
+    completes), and the complete table of smallest index is kept.  So no
+    table grows much past twice the index that wins, and on an infinite
+    group the rounds cost about twice the last one before None.  The
+    relators of P that avoid v present a group mapping onto H; let u be its
+    order, found the same way.  Then |G| = [G:H] |H| <= [G:H] u.  The
+    validated coset table of H is a permutation action of G, so a
+    stabilizer chain of its image that reaches [G:H] u proves
+    |G| = [G:H] u.  Otherwise (the action is unfaithful, u is None or the
+    chain stalls) the full table `todd_coxeter(P, coset_cap)` decides.
+    None means that no candidate completed under `coset_cap`, as for an
+    infinite group, or that the full table capped.
+
+    `memo` maps each presentation decided so far, keyed by `coset_cap`,
+    generator count, m_table and relator letters, to its order; the descent
+    is deterministic in that key, so a caller deciding many related
+    presentations (a class census) and passing one memo to every call
+    decides each distinct one once.
     """
+    if memo is None:
+        memo = {}
+    key = (coset_cap, P.n_generators, P.m_table,
+           tuple(r.word.letters for r in P.relators))
+    if key not in memo:
+        memo[key] = _descend(P, coset_cap, memo)
+    return memo[key]
+
+
+def _descend(P: Presentation, coset_cap: int, memo: dict) -> int | None:
     n = P.n_generators
     if n == 0:
         return 1
+    candidates = _descent_candidates(P)
     best = None
-    for v in _descent_candidates(P):
-        cap = coset_cap if best is None else min(coset_cap, 2 * len(best[1].rows))
-        table = todd_coxeter(P, cap, tuple(g for g in range(1, n + 1) if g != v))
-        if table.status == "complete" and (
-                best is None or len(table.rows) < len(best[1].rows)):
-            best = v, table
-    if best is None:
-        return None
+    round_cap = min(FIRST_ROUND_CAP, coset_cap)
+    while True:
+        for v in candidates:
+            cap = round_cap if best is None else min(round_cap, 2 * len(best[1].rows))
+            table = todd_coxeter(P, cap, tuple(g for g in range(1, n + 1) if g != v))
+            if table.status == "complete" and (
+                    best is None or len(table.rows) < len(best[1].rows)):
+                best = v, table
+        if best is not None:
+            break
+        if round_cap == coset_cap:
+            return None
+        round_cap = min(2 * round_cap, coset_cap)
     v, table = best
     if not table.validate(P):
         raise VerifierError(f"coset table of {P.label} over all generators "
                             f"but {v} failed validation")
-    u = group_order(_without_generator(P, v), coset_cap)
+    u = group_order(_without_generator(P, v), coset_cap, memo)
     if u is not None:
         bound = len(table.rows) * u
         columns = [tuple(row[2 * g] for row in table.rows) for g in range(n)]

@@ -423,6 +423,50 @@ class TestEnumerate:
         assert obj["count"] == 6
         assert obj["coxeter_order"] == 192
 
+    def test_capped_census_keeps_the_decided_members(self, capsys):
+        # At cap 8 some D4 members are decided and some are not.
+        code, out = run(capsys, "enumerate", FIXTURES / "d4.json",
+                        "--coset-cap", 8)
+        obj = json.loads(out)
+        assert code == 0
+        assert obj["count"] == 6
+        assert obj["coxeter_order"] == 192
+        assert {m["coxeter_order"] for m in obj["members"]} == {192, None}
+
+    def test_undecided_class_prints_null(self, capsys):
+        code, out = run(capsys, "enumerate", FIXTURES / "a3.json",
+                        "--coset-cap", 2)
+        obj = json.loads(out)
+        assert (code, obj["coxeter_order"]) == (0, None)
+        assert {m["coxeter_order"] for m in obj["members"]} == {None}
+        code, out = run(capsys, "enumerate", FIXTURES / "a3.json",
+                        "--coset-cap", 2, "--format", "text")
+        assert out.splitlines()[0] == "class size 4, coxeter order null"
+
+    def test_two_decided_orders_are_an_error(self, capsys, monkeypatch):
+        orders = iter((24, None, 48, 24))
+        monkeypatch.setattr(cli, "group_order",
+                            lambda *args, **kwargs: next(orders))
+        err = assert_clean_error(
+            capsys, main(["enumerate", str(FIXTURES / "a3.json")]))
+        assert err == ("error: mutation class produced several orders: "
+                       "{24, 48}\n")
+
+    def test_one_memo_for_the_whole_census(self, capsys, monkeypatch):
+        memos = []
+        group_order = cli.group_order
+
+        def recording_group_order(P, coset_cap, memo):
+            memos.append(memo)
+            return group_order(P, coset_cap, memo)
+
+        monkeypatch.setattr(cli, "group_order", recording_group_order)
+        code, out = run(capsys, "enumerate", FIXTURES / "d4.json")
+        assert (code, json.loads(out)["coxeter_order"]) == (0, 192)
+        assert len(memos) == 6
+        assert all(memo is memos[0] for memo in memos)
+        # Keyed by presentation: every member plus its sub-presentations.
+        assert len(memos[0]) > 6
 
     def test_outside_taxonomy_fails_before_any_order(self, capsys,
                                                      monkeypatch):

@@ -40,6 +40,7 @@ from cluster_artin.verifier import (
     CappedTableError,
     CosetTable,
     VerifierError,
+    _descent_candidates,
     _order_lower_bound,
 )
 
@@ -498,6 +499,89 @@ class TestGroupOrder:
 
     def test_no_generators(self):
         assert group_order(small_presentation(0)) == 1
+
+    @staticmethod
+    def descent_caps(monkeypatch, P):
+        """The caps of the subgroup tables enumerated for P itself."""
+        import cluster_artin.verifier as verifier_module
+
+        caps = []
+        enumerate_cosets = verifier_module.todd_coxeter
+
+        def recording_todd_coxeter(Q, coset_cap=DEFAULT_COSET_CAP,
+                                   subgroup=()):
+            if Q is P and subgroup:
+                caps.append(coset_cap)
+            return enumerate_cosets(Q, coset_cap, subgroup)
+
+        monkeypatch.setattr(verifier_module, "todd_coxeter",
+                            recording_todd_coxeter)
+        return caps
+
+    def test_candidate_tables_stay_near_the_winning_index(self, monkeypatch):
+        # E8 over E7 has index 240; the other maximal parabolic subgroups
+        # have larger index (17,280 for A7), so no candidate may run under
+        # more than twice 240.
+        P = coxeter_presentation(E_DYNKIN[8])
+        caps = self.descent_caps(monkeypatch, P)
+        assert group_order(P) == WEYL_BY_DEGREES["E8"]
+        assert 0 < max(caps) <= 2 * 240
+
+    def test_undecided_after_a_last_round_at_the_cap(self, monkeypatch):
+        P = coxeter_presentation(AFFINE_C2)
+        caps = self.descent_caps(monkeypatch, P)
+        assert group_order(P, coset_cap=2000) is None
+        # Every candidate ran under the full cap, and all the rounds
+        # before cost less than that last one.
+        last_round = caps.count(2000)
+        assert last_round == len(_descent_candidates(P))
+        assert caps[-last_round:] == [2000] * last_round
+        assert sum(caps) <= 2 * last_round * 2000
+
+
+def census_presentations(G: Diagram) -> list[Presentation]:
+    return [coxeter_presentation(D) for D in mutation_class(G)]
+
+
+class TestGroupOrderMemo:
+    @pytest.mark.parametrize("name", DESCENT_CLASSES)
+    def test_shared_memo_matches_memo_free_orders(self, name):
+        memo = {}
+        for P in census_presentations(DESCENT_CLASSES[name]):
+            assert group_order(P, memo=memo) == group_order(P), P.label
+
+    def test_a6_census_runs_88_stabilizer_chains(self, monkeypatch):
+        # Without the memo the same census runs 294 chains.
+        import cluster_artin.verifier as verifier_module
+
+        calls = []
+        lower_bound = verifier_module._order_lower_bound
+
+        def counting_lower_bound(gens, target):
+            calls.append(target)
+            return lower_bound(gens, target)
+
+        monkeypatch.setattr(verifier_module, "_order_lower_bound",
+                            counting_lower_bound)
+        memo = {}
+        orders = {group_order(P, memo=memo)
+                  for P in census_presentations(path_diagram(6))}
+        assert orders == {5040}
+        assert len(calls) == 88
+
+    def test_the_cap_is_part_of_the_key(self):
+        P = coxeter_presentation(DYNKIN["A3"])
+        memo = {}
+        assert group_order(P, coset_cap=2, memo=memo) is None
+        assert group_order(P, memo=memo) == 24
+
+    def test_label_is_not_part_of_the_key(self):
+        P = coxeter_presentation(DYNKIN["A3"])
+        memo = {}
+        assert group_order(P, memo=memo) == 24
+        entries = len(memo)
+        assert group_order(replace(P, label="other"), memo=memo) == 24
+        assert len(memo) == entries
 
 
 class TestSubgroupTables:
