@@ -3,6 +3,12 @@
 Inputs are JSON files holding either a diagram {"n": ..., "edges": [[i, j, w],
 ...]} or an exchange matrix {"B": [[...], ...]}; matrices are converted on
 ingestion.  All output is deterministic for a fixed invocation.
+
+`verify` renders each instance as soon as it is decided and keeps it only in
+an anonymous temporary file, so a class run's memory does not grow with its
+output; the file is copied to stdout when the run ends, so stdout is the same
+bytes as one rendering of the whole payload, and an error mid-run prints
+nothing there.
 """
 
 from __future__ import annotations
@@ -10,7 +16,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import shutil
 import sys
+import tempfile
 
 from .diagram import (
     BudgetExceededError,
@@ -60,6 +68,12 @@ def _load_json(path: str) -> dict:
 
 def _load_diagram(path: str) -> Diagram:
     return Diagram.from_json(_load_json(path))
+
+
+def _nested_json(obj, depth: int) -> str:
+    """`obj` as `_emit` renders it as a value `depth` levels deep."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace(
+        "\n", "\n" + "  " * depth)
 
 
 def _emit(obj, fmt: str, text_renderer=None) -> None:
@@ -273,39 +287,53 @@ def cmd_verify(args) -> int:
     diagrams = mutation_class(G, cap=args.cap) if args.mutation_class else (G,)
     presenter = _presenter(args)
     budget = _budget(args)
-    results = []
     worst = PASS
     rank = {PASS: 0, INCONCLUSIVE: 1, FAIL: 2}
-    for D in diagrams:
-        vertices = range(1, D.n + 1) if args.all_vertices else [args.vertex]
-        for k in vertices:
-            report = verify_mutation_invariance(
-                D, k, budget, args.coset_cap, presenter
+    # Rendered instances wait in the spool, not on stdout: "fuzz" comes
+    # first in the JSON but is computed last, and an error mid-run must
+    # leave stdout empty.
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        separator = ""
+        for D in diagrams:
+            vertices = range(1, D.n + 1) if args.all_vertices else [args.vertex]
+            for k in vertices:
+                report = verify_mutation_invariance(
+                    D, k, budget, args.coset_cap, presenter
+                )
+                if rank[report.status] > rank[worst]:
+                    worst = report.status
+                if args.format == "json":
+                    spool.write(
+                        separator + "    " + _nested_json(report.to_json(), 2))
+                    separator = ",\n"
+                else:
+                    edges = report.diagram.to_json()["edges"]
+                    spool.write(
+                        f"{report.status} diagram={edges} k={report.vertex}\n")
+        fuzz = None
+        if args.fuzz:
+            fuzz = fuzz_soundness(
+                presenter(G), args.fuzz, seed=args.seed, coset_cap=args.coset_cap
             )
-            results.append(report)
-            if rank[report.status] > rank[worst]:
-                worst = report.status
-    payload = {
-        "status": worst,
-        "results": [r.to_json() for r in results],
-    }
-    if args.fuzz:
-        stats = fuzz_soundness(
-            presenter(G), args.fuzz, seed=args.seed, coset_cap=args.coset_cap
-        )
-        payload["fuzz"] = stats
-
-    def render(obj) -> str:
-        lines = []
-        for r in obj["results"]:
-            edges = r["diagram"]["edges"]
-            lines.append(f"{r['status']} diagram={edges} k={r['vertex']}")
-        lines.append(f"overall: {obj['status']}")
-        if "fuzz" in obj:
-            lines.append(f"fuzz: {obj['fuzz']}")
-        return "\n".join(lines) + "\n"
-
-    _emit(payload, args.format, render)
+        spool.seek(0)
+        # The bytes of _emit's rendering of {"fuzz"?, "results", "status"}.
+        out = sys.stdout
+        if args.format == "json":
+            out.write("{\n")
+            if fuzz is not None:
+                out.write(f'  "fuzz": {_nested_json(fuzz, 1)},\n')
+            if separator:
+                out.write('  "results": [\n')
+                shutil.copyfileobj(spool, out)
+                out.write("\n  ],\n")
+            else:
+                out.write('  "results": [],\n')
+            out.write(f'  "status": {json.dumps(worst)}\n}}\n')
+        else:
+            shutil.copyfileobj(spool, out)
+            out.write(f"overall: {worst}\n")
+            if fuzz is not None:
+                out.write(f"fuzz: {fuzz}\n")
     return EXIT_CODES[worst]
 
 

@@ -1,17 +1,76 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cluster_artin import cli
+from cluster_artin import Diagram, artin_presentation, cli, mutation_class
 from cluster_artin.cli import main
+from cluster_artin.verifier import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    SearchBudget,
+    VerifierError,
+    fuzz_soundness,
+    verify_mutation_invariance,
+)
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, REPO, path_diagram
 
 
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr().out
     return code, out
+
+
+def reference_verify(G: Diagram, vertex=None, *, whole_class=False,
+                     budget=SearchBudget(), fuzz=0, seed=0, fmt="json"):
+    """`verify`'s stdout, built from one payload rendered in one piece."""
+    diagrams = mutation_class(G) if whole_class else (G,)
+    reports = [verify_mutation_invariance(D, k, budget)
+               for D in diagrams
+               for k in ([vertex] if vertex else range(1, D.n + 1))]
+    status = max((r.status for r in reports),
+                 key=[PASS, INCONCLUSIVE, FAIL].index, default=PASS)
+    payload = {"status": status, "results": [r.to_json() for r in reports]}
+    if fuzz:
+        payload["fuzz"] = fuzz_soundness(artin_presentation(G), fuzz, seed=seed)
+    if fmt == "json":
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = [f"{r.status} diagram={r.diagram.to_json()['edges']} k={r.vertex}"
+             for r in reports]
+    lines.append(f"overall: {status}")
+    if fuzz:
+        lines.append(f"fuzz: {payload['fuzz']}")
+    return "\n".join(lines) + "\n"
+
+
+# A fresh interpreter runs `verify` with stdout sent to /dev/null and
+# prints its own peak resident set (VmHWM).  ru_maxrss would not do: a
+# child spawned by vfork starts out charged with the spawner's pages.
+PEAK_RSS_CHILD = """
+import sys
+from cluster_artin import cli
+sys.stdout = open("/dev/null", "w")
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    hwm = next(line for line in fh if line.startswith("VmHWM:"))
+sys.__stdout__.write(f"{code} {hwm.split()[1]}\\n")
+"""
+
+
+def peak_kib(*argv) -> int:
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD,
+                          *map(str, argv)], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    code, kib = out.split()
+    assert code == "0"
+    return int(kib)
 
 
 class TestMutate:
@@ -144,6 +203,61 @@ class TestVerify:
         obj = json.loads(out)
         assert obj["status"] in ("PASS", "INCONCLUSIVE")
         assert code in (0, 3)
+
+    @pytest.mark.parametrize("fmt", ("json", "text"))
+    @pytest.mark.parametrize("fixture, flags, reference, exit_code", [
+        ("a3.json", ("--class", "--all-vertices"), {"whole_class": True}, 0),
+        ("a2.json", ("-k", 1, "--fuzz", 50, "--seed", 7),
+         {"vertex": 1, "fuzz": 50, "seed": 7}, 0),
+        ("square.json", ("-k", 1, "--budget-nodes", 1),
+         {"vertex": 1, "budget": SearchBudget(max_nodes=1)}, 3),
+    ])
+    def test_output_equals_one_piece_rendering(self, capsys, fmt, fixture,
+                                               flags, reference, exit_code):
+        code, out = run(capsys, "verify", FIXTURES / fixture, *flags,
+                        "--format", fmt)
+        assert code == exit_code
+        G = Diagram.from_json(json.loads((FIXTURES / fixture).read_text()))
+        assert out == reference_verify(G, fmt=fmt, **reference)
+
+    def test_no_instances_prints_empty_results(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 0, "edges": []}')
+        code, out = run(capsys, "verify", path, "--all-vertices")
+        assert code == 0
+        assert out == reference_verify(Diagram(0, ()))
+        assert '"results": [],' in out
+
+    def test_error_mid_run_leaves_stdout_empty(self, capsys, monkeypatch):
+        calls = []
+        verify = cli.verify_mutation_invariance
+
+        def failing_third_call(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise VerifierError("third instance failed")
+            return verify(*args)
+
+        monkeypatch.setattr(cli, "verify_mutation_invariance",
+                            failing_third_call)
+        code = main(["verify", str(FIXTURES / "a3.json"), "--class",
+                     "--all-vertices"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert len(calls) == 3
+        assert captured.out == ""
+        assert captured.err == "error: third instance failed\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads VmHWM from /proc (Linux)")
+    def test_class_run_memory_does_not_grow_with_output(self, tmp_path):
+        # The A5 class prints 95 instances, about 4.6 MB of JSON; rendering
+        # it in one piece took the peak 37 MiB above a one-instance run.
+        path = tmp_path / "a5.json"
+        path.write_text(json.dumps(path_diagram(5).to_json()))
+        whole_class = peak_kib("verify", path, "--class", "--all-vertices")
+        single = peak_kib("verify", path, "-k", 1)
+        assert whole_class - single < 16 * 1024
 
 
 BAD_NUMERIC_FLAGS = {

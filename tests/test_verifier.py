@@ -647,6 +647,19 @@ class TestOrderLowerBound:
             assert _order_lower_bound(gens, factorial(degree)) == order, gens
             assert _order_lower_bound(gens, order) == order, gens
 
+    def test_generators_reaching_the_target_draw_no_random_element(
+            self, monkeypatch):
+        import cluster_artin.verifier as verifier_module
+
+        def no_random(seed):
+            raise AssertionError("drew a random element")
+
+        monkeypatch.setattr(verifier_module.random, "Random", no_random)
+        cycle = (1, 2, 3, 4, 0)
+        assert _order_lower_bound([cycle], 5) == 5
+        swaps = [(1, 0, 2), (0, 2, 1)]
+        assert _order_lower_bound(swaps, 6) == 6
+
 
 class TestAbelianization:
     def test_empty_word(self):
