@@ -485,16 +485,6 @@ def chordless_cycles(G: Diagram, affine: bool = False) -> tuple[ChordlessCycle, 
 # Canonical forms and mutation classes
 
 
-def _signed_entry(G: Diagram, u: int, v: int) -> int:
-    w = G.arrow(u, v)
-    if w:
-        return w
-    w = G.arrow(v, u)
-    if w:
-        return -w
-    return 0
-
-
 def _canonical_placement(G: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertex placement minimizing the column-wise adjacency encoding.
 
@@ -507,6 +497,12 @@ def _canonical_placement(G: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Degenerate inputs with huge automorphism groups are cut off by a hard cap.
     """
     verts = list(range(1, G.n + 1))
+    # into[v][u]: the entry in row u, column v of the signed adjacency
+    # matrix, the weight of an arrow u -> v, negated for an arrow v -> u.
+    into = [[0] * (G.n + 1) for _ in range(G.n + 1)]
+    for i, j, w in G.edges:
+        into[j][i] = w
+        into[i][j] = -w
     partials: list[tuple[int, ...]] = [()]
     encoding: list[int] = []
     for q in range(G.n):
@@ -517,7 +513,7 @@ def _canonical_placement(G: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
             for v in verts:
                 if v in used:
                     continue
-                col = tuple(_signed_entry(G, placement[p], v) for p in range(q))
+                col = tuple(map(into[v].__getitem__, placement))
                 if best_col is None or col < best_col:
                     best_col = col
                     extended = [placement + (v,)]
@@ -531,19 +527,29 @@ def _canonical_placement(G: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return partials[0], tuple(encoding)
 
 
-def _canonical(G: Diagram) -> tuple[bytes, Diagram]:
-    """Canonical byte encoding of G and its canonically relabelled copy."""
+def _canonical_key(G: Diagram) -> tuple[bytes, tuple[int, ...]]:
+    """Canonical byte encoding of G and the placement that attains it."""
     if G.n > DEFAULT_CANONICAL_BOUND:
         raise DiagramError(
             f"canonical form limited to {DEFAULT_CANONICAL_BOUND} vertices")
     placement, enc = _canonical_placement(G)
-    perm = {old: pos + 1 for pos, old in enumerate(placement)}
-    return (f"{G.n}|" + ",".join(map(str, enc))).encode("ascii"), G.relabel(perm)
+    return (f"{G.n}|" + ",".join(map(str, enc))).encode("ascii"), placement
+
+
+def _placed(G: Diagram, placement: tuple[int, ...]) -> Diagram:
+    """G relabelled so that placement[q] becomes vertex q + 1."""
+    return G.relabel({old: pos + 1 for pos, old in enumerate(placement)})
+
+
+def _canonical(G: Diagram) -> tuple[bytes, Diagram]:
+    """Canonical byte encoding of G and its canonically relabelled copy."""
+    key, placement = _canonical_key(G)
+    return key, _placed(G, placement)
 
 
 def canonical_form(G: Diagram) -> bytes:
     """Relabelling-invariant byte encoding, minimal over all permutations."""
-    return _canonical(G)[0]
+    return _canonical_key(G)[0]
 
 
 def canonical_diagram(G: Diagram) -> Diagram:
@@ -555,8 +561,10 @@ def _class_bfs(G: Diagram, cap: int, stop_on_heavy: bool) -> tuple[bool, dict[by
     """BFS closure of the mutation class up to canonical form.
 
     Returns (hit_heavy_edge, members).  With stop_on_heavy the search aborts
-    as soon as any member has an edge weight above 3.  Each diagram met costs
-    one canonical search.
+    as soon as any member has an edge weight above 3.  Mutation is an
+    involution, so a member is not mutated again at the vertex it was
+    reached by, which would only give back its parent.  Each other mutation
+    costs one canonical search, and only a new member is relabelled.
     """
     if not G.is_connected():
         raise DiagramError("mutation class enumeration requires a connected diagram")
@@ -564,17 +572,21 @@ def _class_bfs(G: Diagram, cap: int, stop_on_heavy: bool) -> tuple[bool, dict[by
     members: dict[bytes, Diagram] = {key: start}
     if stop_on_heavy and start.max_weight() > 3:
         return True, members
-    frontier = [start]
+    # Each member with the vertex it was reached by (0 for the start).
+    frontier = [(start, 0)]
     while frontier:
         next_frontier = []
-        for member in frontier:
+        for member, back in frontier:
             for k in range(1, member.n + 1):
+                if k == back:
+                    continue
                 D = mutate_diagram(member, k)
-                key, canon = _canonical(D)
+                key, placement = _canonical_key(D)
                 if key in members:
                     continue
+                canon = _placed(D, placement)
                 members[key] = canon
-                next_frontier.append(canon)
+                next_frontier.append((canon, placement.index(k) + 1))
                 if stop_on_heavy and D.max_weight() > 3:
                     return True, members
                 if len(members) > cap:

@@ -20,21 +20,24 @@ than recorded.
 
 Group orders (the `enumerate` census) come from `group_order`, a parabolic
 descent that needs no table of the whole group: the index of the subgroup
-generated by all generators but one, enumerated by `todd_coxeter` over that
+generated by all generators but one, found by coset enumeration over that
 subgroup, times the order of the sub-presentation on those generators, found
 the same way, bounds the order from above.  A stabilizer chain of the
 permutation action on the cosets bounds it from below, and when the two
-meet the order is proved.  Otherwise a full table decides it.  The
-candidate subgroups are enumerated in rounds under a doubling cap, so no
-table grows far past the smallest index.  The census passes one memo per
-class, so each distinct sub-presentation is decided once.
+meet the order is proved.  Otherwise a full table decides it.  Coset
+enumeration has one implementation, `_enumerate`, which can pause after any
+row and resume: `todd_coxeter` runs it to completion or to the cap, and the
+descent races the candidate subgroups on it, always advancing the one with
+the fewest cosets defined, so no loser grows past the winner by more than a
+row.  The census passes one memo per class, so each distinct
+sub-presentation is decided once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from math import prod
 
 from .diagram import Diagram
@@ -89,6 +92,9 @@ class CosetTable:
     def validate(self, P: Presentation) -> bool:
         """Check the permutation property, that every relator scans home,
         and that every subgroup generator fixes coset 0."""
+        return self._validate(tuple(r.word.letters for r in P.relators))
+
+    def _validate(self, relators: tuple[tuple[int, ...], ...]) -> bool:
         if self.status != "complete":
             return False
         if any(self.rows[0][_col(g)] != 0 for g in self.subgroup):
@@ -99,8 +105,8 @@ class CosetTable:
         for c in range(0, 2 * self.n_generators, 2):
             if any(rows[rows[k][c]][c + 1] != k for k in range(size)):
                 return False
-        for rel in P.relators:
-            cols = [_col(x) for x in rel.word.letters]
+        for rel in relators:
+            cols = [_col(x) for x in rel]
             for start in range(size):
                 cur = start
                 for c in cols:
@@ -119,31 +125,25 @@ DEFAULT_COSET_CAP = 1_000_000
 COMPACT_THRESHOLD = 4096
 
 
-def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
-                 subgroup: tuple[int, ...] = ()) -> CosetTable:
-    """HLT-style coset enumeration of P over H = <subgroup>.
-
-    `subgroup` lists generators (positive letters) of H, which are made to
-    fix coset 0 before the first scan; by default H is trivial.
+def _columns(n: int, relators: tuple[tuple[int, ...], ...]):
+    """The column layout of a coset enumeration over generators 1..n.
 
     A generator with an involution relator, (g, g) or (-g, -g), gets one
     self-inverse column shared by +g and -g, and its involution relators are
     not scanned, because the shared column already enforces them; every
-    other generator gets a column and an inverse column.  Relators are
-    scanned and filled coset by coset in first-definition order, with
-    coincidences processed eagerly and the table compacted when mostly dead.
-    The finished table is expanded to the two-columns-per-generator layout
-    of CosetTable.  Returns a capped table instead of raising once more than
-    `coset_cap` cosets have been defined.
+    other generator gets a column and an inverse column.  Returns the column
+    of each letter, the inverse of each column, each scanned relator as
+    (forward columns, backward columns, last index), and the column behind
+    each column of CosetTable.  Every enumeration of the same relators can
+    share it.
     """
-    def is_involution(r: Relator) -> bool:
-        return len(r.word) == 2 and r.word.letters[0] == r.word.letters[1]
+    def is_involution(r: tuple[int, ...]) -> bool:
+        return len(r) == 2 and r[0] == r[1]
 
-    involutions = {abs(r.word.letters[0]) for r in P.relators
-                   if is_involution(r)}
+    involutions = {abs(r[0]) for r in relators if is_involution(r)}
     col: dict[int, int] = {}
     inv: list[int] = []
-    for g in range(1, P.n_generators + 1):
+    for g in range(1, n + 1):
         c = len(inv)
         if g in involutions:
             col[g] = col[-g] = c
@@ -151,14 +151,27 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
         else:
             col[g], col[-g] = c, c + 1
             inv += [c + 1, c]
+    scans = [(tuple(col[x] for x in r), tuple(inv[col[x]] for x in r),
+              len(r) - 1)
+             for r in relators if not is_involution(r)]
+    layout = [col[x] for g in range(1, n + 1) for x in (g, -g)]
+    return col, inv, scans, layout
+
+
+def _enumerate(columns, subgroup: tuple[int, ...] = ()):
+    """Resumable HLT-style coset enumeration over H = <subgroup>.
+
+    A generator over a layout from `_columns`.  Before each coset it comes
+    to, it yields the number of cosets defined so far, so a caller can stop
+    at a cap and resume later; once the table closes it returns the rows in
+    the two-columns-per-generator layout of CosetTable.  The subgroup
+    generators (positive letters) are made to fix coset 0 before the first
+    scan.  Relators are scanned and filled coset by coset in
+    first-definition order, with coincidences processed eagerly and the
+    table compacted when mostly dead.
+    """
+    col, inv, scans, layout = columns
     ncols = len(inv)
-    # Each relator as (forward columns, backward columns, last index).
-    scans = [
-        (tuple(col[x] for x in r.word.letters),
-         tuple(inv[col[x]] for x in r.word.letters),
-         len(r.word) - 1)
-        for r in P.relators if not is_involution(r)
-    ]
     table: list[list[int | None]] = [[None] * ncols]
     for g in subgroup:
         table[0][col[g]] = table[0][inv[col[g]]] = 0
@@ -238,8 +251,7 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
     threshold = COMPACT_THRESHOLD
     alpha = 0
     while alpha < len(table):
-        if defined > coset_cap:
-            return CosetTable(P.n_generators, (), "capped", subgroup)
+        yield defined
         if p[alpha] != alpha:
             alpha += 1
             continue
@@ -290,14 +302,31 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
             n_dead = 0
 
     live, index = renumber()
-    layout = [col[x] for g in range(1, P.n_generators + 1) for x in (g, -g)]
     rows = []
     for old in live:
         row = table[old]
         if None in row:
             raise VerifierError("incomplete row survived enumeration")
         rows.append(tuple(index[row[c]] for c in layout))
-    return CosetTable(P.n_generators, tuple(rows), "complete", subgroup)
+    return tuple(rows)
+
+
+def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
+                 subgroup: tuple[int, ...] = ()) -> CosetTable:
+    """HLT-style coset enumeration of P over H = <subgroup>.
+
+    `subgroup` lists generators (positive letters) of H; by default H is
+    trivial.  Runs `_enumerate` to completion, or returns a capped table
+    instead of raising once more than `coset_cap` cosets have been defined.
+    """
+    relators = tuple(r.word.letters for r in P.relators)
+    steps = _enumerate(_columns(P.n_generators, relators), subgroup)
+    try:
+        while next(steps) <= coset_cap:
+            pass
+    except StopIteration as done:
+        return CosetTable(P.n_generators, done.value, "complete", subgroup)
+    return CosetTable(P.n_generators, (), "capped", subgroup)
 
 
 def word_trivial_in_coxeter(table: CosetTable, w: Word) -> bool:
@@ -332,9 +361,6 @@ STALL_PATIENCE = 64
 # no stall, and 20 composes the fewest permutations; 20 also stalls nowhere
 # on the A7, A8, E6 and E8 censuses.
 WARM_UP_STEPS = 20
-
-# The coset cap of the first round of descent candidates in `group_order`.
-FIRST_ROUND_CAP = 64
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -410,11 +436,14 @@ def _order_lower_bound(gens: list[tuple[int, ...]], target: int) -> int:
         return bound()
     rng = random.Random(0)
     pool = list(gens) * (10 // len(gens) + 1)
+    pairs = len(pool) * (len(pool) - 1)
     accumulator = identity
 
     def pseudo_random() -> tuple[int, ...]:
         nonlocal accumulator
-        i, j = rng.sample(range(len(pool)), 2)
+        # A uniform ordered pair of distinct positions.
+        i, j = divmod(rng.randrange(pairs), len(pool) - 1)
+        j += j >= i
         pool[i] = (_compose(pool[i], pool[j]) if rng.random() < 0.5
                    else _compose(pool[j], pool[i]))
         accumulator = _compose(accumulator, pool[i])
@@ -428,12 +457,12 @@ def _order_lower_bound(gens: list[tuple[int, ...]], target: int) -> int:
     return bound()
 
 
-def _descent_candidates(P: Presentation) -> list[int]:
+def _descent_candidates(m_table) -> list[int]:
     """Generators whose removal cuts no component of the graph
     {i ~ j : m_ij != 2} in two; on a connected graph, those whose removal
     leaves it connected."""
-    n = P.n_generators
-    adjacent = [[j for j in range(n) if j != i and P.m_table[i][j] != 2]
+    n = len(m_table)
+    adjacent = [[j for j in range(n) if j != i and m_table[i][j] != 2]
                 for i in range(n)]
     candidates = []
     for v in range(n):
@@ -449,92 +478,120 @@ def _descent_candidates(P: Presentation) -> list[int]:
     return candidates
 
 
-def _without_generator(P: Presentation, v: int) -> Presentation:
-    """The relators of P that avoid generator v, over the other generators
+def _without_generator(n: int, m_table, relators, v: int):
+    """The relators that avoid generator v, over the other generators
     relabelled in order onto 1..n-1, with m_table restricted to them."""
     def relabel(x: int) -> int:
         return x if abs(x) < v else x - 1 if x > 0 else x + 1
 
-    keep = [i for i in range(P.n_generators) if i != v - 1]
-    return Presentation(
-        n_generators=P.n_generators - 1,
-        relators=tuple(
-            Relator(Word(tuple(map(relabel, r.word.letters))), r.family,
-                    r.provenance)
-            for r in P.relators if all(abs(x) != v for x in r.word.letters)),
-        mode=P.mode,
-        m_table=tuple(tuple(P.m_table[i][j] for j in keep) for i in keep),
-        label=f"{P.label}\\{v}",
-    )
+    keep = [i for i in range(n) if i != v - 1]
+    return (n - 1,
+            tuple(tuple(m_table[i][j] for j in keep) for i in keep),
+            tuple(tuple(map(relabel, r)) for r in relators
+                  if v not in r and -v not in r))
+
+
+def _race(columns, subgroups: list[tuple[int, ...]], coset_cap: int):
+    """(i, rows) for the first of the enumerations over `subgroups` to
+    complete, or None when every one defines more than `coset_cap` cosets.
+
+    The enumeration with the fewest cosets defined so far always goes next
+    (the earlier one on a tie), and one row at a time.  So a loser stops
+    within one row of the winner's final count, and each is dropped as soon
+    as it passes the cap.
+    """
+    runs = [_enumerate(columns, H) for H in subgroups]
+    heap = [(1, i) for i in range(len(runs))]
+    while heap:
+        i = heap[0][1]
+        try:
+            defined = next(runs[i])
+        except StopIteration as done:
+            return i, done.value
+        if defined > coset_cap:
+            heappop(heap)
+        else:
+            heapreplace(heap, (defined, i))
+    return None
 
 
 def group_order(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
                 memo: dict | None = None) -> int | None:
     """The order of the group G that P presents; None when undecided.
 
-    Parabolic descent.  The generators v from `_descent_candidates` are
-    enumerated as H = <all generators but v> in rounds, under a cap that
-    starts at FIRST_ROUND_CAP and doubles up to `coset_cap`, until a round
-    completes one; within a round, once one completes, later candidates run
-    under twice the smallest index so far (HLT defined at most 1.3 times
-    the index on sampled E8 class members, so a smaller index still
-    completes), and the complete table of smallest index is kept.  So no
-    table grows much past twice the index that wins, and on an infinite
-    group the rounds cost about twice the last one before None.  The
-    relators of P that avoid v present a group mapping onto H; let u be its
-    order, found the same way.  Then |G| = [G:H] |H| <= [G:H] u.  The
-    validated coset table of H is a permutation action of G, so a
-    stabilizer chain of its image that reaches [G:H] u proves
-    |G| = [G:H] u.  Otherwise (the action is unfaithful, u is None or the
-    chain stalls) the full table `todd_coxeter(P, coset_cap)` decides.
-    None means that no candidate completed under `coset_cap`, as for an
-    infinite group, or that the full table capped.
+    Parabolic descent.  The generators v from `_descent_candidates` give
+    the candidate subgroups H = <all generators but v>, whose coset
+    enumerations `_race` runs side by side, always advancing the one with
+    the fewest cosets defined, until the first completes; any that passes
+    `coset_cap` is dropped.  So a descent defines at most the number of
+    candidates times the winner's count (times the cap on an infinite
+    group, before None).  The relators of P that avoid v present a group
+    mapping onto H; let u be its order, found the same way.  Then
+    |G| = [G:H] |H| <= [G:H] u.  The validated coset table of H is a
+    permutation action of G, so a stabilizer chain of its image that
+    reaches [G:H] u proves |G| = [G:H] u.  Otherwise (the action is
+    unfaithful, u is None or the chain stalls) the full table
+    `todd_coxeter(P, coset_cap)` decides.  None means that no candidate
+    completed under `coset_cap`, as for an infinite group, or that the full
+    table capped.
 
-    `memo` maps each presentation decided so far, keyed by `coset_cap`,
-    generator count, m_table and relator letters, to its order; the descent
-    is deterministic in that key, so a caller deciding many related
+    The sub-presentations are carried as (generator count, m_table,
+    relator letters).  `memo` maps each presentation decided so far, keyed
+    by `coset_cap` and that triple, to its order; the descent is
+    deterministic in that key, so a caller deciding many related
     presentations (a class census) and passing one memo to every call
     decides each distinct one once.
     """
     if memo is None:
         memo = {}
-    key = (coset_cap, P.n_generators, P.m_table,
-           tuple(r.word.letters for r in P.relators))
+    return _order(P.n_generators, P.m_table,
+                  tuple(r.word.letters for r in P.relators), coset_cap, memo,
+                  P.label)
+
+
+def _order(n: int, m_table, relators, coset_cap: int, memo: dict,
+           label: str) -> int | None:
+    """`group_order` of the presentation (n, m_table, relators)."""
+    key = (coset_cap, n, m_table, relators)
     if key not in memo:
-        memo[key] = _descend(P, coset_cap, memo)
+        memo[key] = _descend(n, m_table, relators, coset_cap, memo, label)
     return memo[key]
 
 
-def _descend(P: Presentation, coset_cap: int, memo: dict) -> int | None:
-    n = P.n_generators
+def _descend(n: int, m_table, relators, coset_cap: int, memo: dict,
+             label: str) -> int | None:
+    """One level of the descent in `group_order`: race the candidates,
+    validate the winner's table, find u through the memo, then prove the
+    bound or fall back to the full table.  `label` names the presentation
+    in errors and on the full table's Presentation."""
     if n == 0:
         return 1
-    candidates = _descent_candidates(P)
-    best = None
-    round_cap = min(FIRST_ROUND_CAP, coset_cap)
-    while True:
-        for v in candidates:
-            cap = round_cap if best is None else min(round_cap, 2 * len(best[1].rows))
-            table = todd_coxeter(P, cap, tuple(g for g in range(1, n + 1) if g != v))
-            if table.status == "complete" and (
-                    best is None or len(table.rows) < len(best[1].rows)):
-                best = v, table
-        if best is not None:
-            break
-        if round_cap == coset_cap:
-            return None
-        round_cap = min(2 * round_cap, coset_cap)
-    v, table = best
-    if not table.validate(P):
-        raise VerifierError(f"coset table of {P.label} over all generators "
+    candidates = _descent_candidates(m_table)
+    subgroups = [tuple(g for g in range(1, n + 1) if g != v)
+                 for v in candidates]
+    won = _race(_columns(n, relators), subgroups, coset_cap)
+    if won is None:
+        return None
+    i, rows = won
+    v = candidates[i]
+    table = CosetTable(n, rows, "complete", subgroups[i])
+    if not table._validate(relators):
+        raise VerifierError(f"coset table of {label} over all generators "
                             f"but {v} failed validation")
-    u = group_order(_without_generator(P, v), coset_cap, memo)
+    u = _order(*_without_generator(n, m_table, relators, v), coset_cap, memo,
+               f"{label}\\{v}")
     if u is not None:
-        bound = len(table.rows) * u
-        columns = [tuple(row[2 * g] for row in table.rows) for g in range(n)]
+        bound = len(rows) * u
+        columns = [tuple(row[2 * g] for row in rows) for g in range(n)]
         if _order_lower_bound(columns, bound) == bound:
             return bound
-    return todd_coxeter(P, coset_cap).order
+    return todd_coxeter(Presentation(
+        n_generators=n,
+        relators=tuple(Relator(Word(r), "descent", label) for r in relators),
+        mode="coxeter",
+        m_table=m_table,
+        label=label,
+    ), coset_cap).order
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -581,6 +582,22 @@ class TestEnumerate:
         assert all(memo is memos[0] for memo in memos)
         # Keyed by presentation: every member plus its sub-presentations.
         assert len(memos[0]) > 6
+
+    # sha256 of the JSON census, as printed before the descent raced its
+    # candidates and the class BFS skipped the mutation back to the parent.
+    @pytest.mark.parametrize("name, digest", [
+        ("A6", "e68c71f644f9ac372b97002a84020e186609f7c974c28be84bd36fc2451a6048"),
+        ("E7", "d8d8f570137dbba2fa0a984298aae9a1fab00adefb7291e0c7aa8f86169f7b0a"),
+    ])
+    def test_census_output_is_pinned(self, capsys, tmp_path, name, digest):
+        if name == "A6":
+            path = tmp_path / "a6.json"
+            path.write_text(json.dumps(path_diagram(6).to_json()))
+        else:
+            path = FIXTURES / "e7.json"
+        code, out = run(capsys, "enumerate", path)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_outside_taxonomy_fails_before_any_order(self, capsys,
                                                      monkeypatch):

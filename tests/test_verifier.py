@@ -40,7 +40,9 @@ from cluster_artin.verifier import (
     CappedTableError,
     CosetTable,
     VerifierError,
+    _columns,
     _descent_candidates,
+    _enumerate,
     _order_lower_bound,
 )
 
@@ -377,6 +379,30 @@ class TestToddCoxeterAgainstReference:
             written_plain).rows
 
 
+class TestResumableEnumeration:
+    @pytest.mark.parametrize("name", TC_PRESENTATIONS)
+    def test_pausing_and_resuming_changes_nothing(self, name):
+        # Pause at caps 8, 16, 32, ... and resume: each pause agrees with a
+        # fresh enumeration under that cap, and the rows at the end are
+        # those of one uninterrupted enumeration.
+        P = TC_PRESENTATIONS[name]()
+        n = P.n_generators
+        columns = _columns(n, tuple(r.word.letters for r in P.relators))
+        for v in range(1, n + 1):
+            H = tuple(g for g in range(1, n + 1) if g != v)
+            steps = _enumerate(columns, H)
+            defined, rows, cap = 0, None, 8
+            while rows is None:
+                try:
+                    while defined <= cap:
+                        defined = next(steps)
+                except StopIteration as done:
+                    rows = done.value
+                status = "capped" if rows is None else "complete"
+                assert todd_coxeter(P, cap, H).status == status, (H, cap)
+                cap *= 2
+            assert rows == todd_coxeter(P, subgroup=H).rows, H
+
 
 E_DYNKIN = {
     6: Diagram(6, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (3, 6, 1))),
@@ -501,42 +527,62 @@ class TestGroupOrder:
         assert group_order(small_presentation(0)) == 1
 
     @staticmethod
-    def descent_caps(monkeypatch, P):
-        """The caps of the subgroup tables enumerated for P itself."""
+    def descent_runs(monkeypatch, n):
+        """The descent's enumerations over subgroups on n - 1 generators:
+        for each, the cosets defined before every row, and its rows when it
+        completed (None otherwise)."""
         import cluster_artin.verifier as verifier_module
 
-        caps = []
-        enumerate_cosets = verifier_module.todd_coxeter
+        runs = []
+        enumerate_cosets = verifier_module._enumerate
 
-        def recording_todd_coxeter(Q, coset_cap=DEFAULT_COSET_CAP,
-                                   subgroup=()):
-            if Q is P and subgroup:
-                caps.append(coset_cap)
-            return enumerate_cosets(Q, coset_cap, subgroup)
+        def recording_enumerate(columns, subgroup=()):
+            counts = []
+            run = [subgroup, counts, None]
+            if len(subgroup) == n - 1:
+                runs.append(run)
+            steps = enumerate_cosets(columns, subgroup)
+            try:
+                while True:
+                    counts.append(next(steps))
+                    yield counts[-1]
+            except StopIteration as done:
+                run[2] = done.value
+                return done.value
 
-        monkeypatch.setattr(verifier_module, "todd_coxeter",
-                            recording_todd_coxeter)
-        return caps
+        monkeypatch.setattr(verifier_module, "_enumerate",
+                            recording_enumerate)
+        return runs
 
     def test_candidate_tables_stay_near_the_winning_index(self, monkeypatch):
         # E8 over E7 has index 240; the other maximal parabolic subgroups
-        # have larger index (17,280 for A7), so no candidate may run under
-        # more than twice 240.
+        # have larger index (2,160 for D7, 17,280 for A7).  A candidate goes
+        # next only while no other has defined fewer cosets, so a loser
+        # stops within one row of the winner's final count.
         P = coxeter_presentation(E_DYNKIN[8])
-        caps = self.descent_caps(monkeypatch, P)
+        runs = self.descent_runs(monkeypatch, 8)
         assert group_order(P) == WEYL_BY_DEGREES["E8"]
-        assert 0 < max(caps) <= 2 * 240
+        assert len(runs) == len(_descent_candidates(P.m_table)) == 3
+        winners = [run for run in runs if run[2] is not None]
+        assert [(H, len(rows)) for H, _, rows in winners] == [
+            ((1, 2, 3, 4, 5, 6, 8), 240)]
+        final = winners[0][1][-1]
+        for H, counts, rows in runs:
+            if rows is None:
+                assert counts[-2] <= final, H
 
-    def test_undecided_after_a_last_round_at_the_cap(self, monkeypatch):
+    def test_undecided_when_every_candidate_passes_the_cap(self,
+                                                            monkeypatch):
         P = coxeter_presentation(AFFINE_C2)
-        caps = self.descent_caps(monkeypatch, P)
+        runs = self.descent_runs(monkeypatch, 3)
         assert group_order(P, coset_cap=2000) is None
-        # Every candidate ran under the full cap, and all the rounds
-        # before cost less than that last one.
-        last_round = caps.count(2000)
-        assert last_round == len(_descent_candidates(P))
-        assert caps[-last_round:] == [2000] * last_round
-        assert sum(caps) <= 2 * last_round * 2000
+        assert len(runs) == len(_descent_candidates(P.m_table))
+        for H, counts, rows in runs:
+            assert rows is None and counts[-2] <= 2000 < counts[-1], H
+        letters = tuple(r.word.letters for r in P.relators)
+        columns = len(_columns(3, letters)[1])
+        assert sum(counts[-1] for _, counts, _ in runs) <= len(runs) * (
+            2000 + columns)
 
 
 def census_presentations(G: Diagram) -> list[Presentation]:
