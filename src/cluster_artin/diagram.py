@@ -541,12 +541,6 @@ def _placed(G: Diagram, placement: tuple[int, ...]) -> Diagram:
     return G.relabel({old: pos + 1 for pos, old in enumerate(placement)})
 
 
-def _canonical(G: Diagram) -> tuple[bytes, Diagram]:
-    """Canonical byte encoding of G and its canonically relabelled copy."""
-    key, placement = _canonical_key(G)
-    return key, _placed(G, placement)
-
-
 def canonical_form(G: Diagram) -> bytes:
     """Relabelling-invariant byte encoding, minimal over all permutations."""
     return _canonical_key(G)[0]
@@ -554,7 +548,7 @@ def canonical_form(G: Diagram) -> bytes:
 
 def canonical_diagram(G: Diagram) -> Diagram:
     """The canonically relabelled copy of G."""
-    return _canonical(G)[1]
+    return _placed(G, _canonical_key(G)[1])
 
 
 def _class_bfs(G: Diagram, cap: int, stop_on_heavy: bool) -> tuple[bool, dict[bytes, Diagram]]:
@@ -568,7 +562,8 @@ def _class_bfs(G: Diagram, cap: int, stop_on_heavy: bool) -> tuple[bool, dict[by
     """
     if not G.is_connected():
         raise DiagramError("mutation class enumeration requires a connected diagram")
-    key, start = _canonical(G)
+    key, placement = _canonical_key(G)
+    start = _placed(G, placement)
     members: dict[bytes, Diagram] = {key: start}
     if stop_on_heavy and start.max_weight() > 3:
         return True, members

@@ -71,13 +71,17 @@ class CappedTableError(VerifierError):
 class CosetTable:
     """Action of the generators on the cosets of H = <subgroup>.
 
-    Columns alternate generator, inverse: letter +g uses column 2(g-1) and
-    -g uses column 2(g-1)+1.  Coset 0 is H itself.  Over the trivial
-    subgroup a complete table is the regular representation, so its size is
-    the group order; over a non-trivial one its size is the index of H.
+    Letter x acts on coset k as rows[k][col[x]], in the layout `_columns`
+    gives: an involution's +g and -g share one self-inverse column, and any
+    other generator has a column and an inverse column.  So a table of the
+    Coxeter quotient has one entry per generator per coset.  Coset 0 is H
+    itself.  Over the trivial subgroup a complete table is the regular
+    representation, so its size is the group order; over a non-trivial one
+    its size is the index of H.
     """
 
     n_generators: int
+    col: dict[int, int]
     rows: tuple[tuple[int, ...], ...]
     status: str  # "complete" | "capped"
     subgroup: tuple[int, ...] = ()
@@ -97,32 +101,28 @@ class CosetTable:
     def _validate(self, relators: tuple[tuple[int, ...], ...]) -> bool:
         if self.status != "complete":
             return False
-        if any(self.rows[0][_col(g)] != 0 for g in self.subgroup):
+        col, rows = self.col, self.rows
+        if any(rows[0][col[g]] != 0 for g in self.subgroup):
             return False
-        size = len(self.rows)
-        rows = self.rows
-        # Column c+1 inverting column c makes both permutations.
-        for c in range(0, 2 * self.n_generators, 2):
-            if any(rows[rows[k][c]][c + 1] != k for k in range(size)):
+        size = len(rows)
+        # Column col[-g] inverting column col[g] makes both permutations; a
+        # self-inverse column must be an involution.
+        for g in range(1, self.n_generators + 1):
+            c, ic = col[g], col[-g]
+            if any(rows[rows[k][c]][ic] != k for k in range(size)):
                 return False
         for rel in relators:
-            cols = [_col(x) for x in rel]
+            cols = [col[x] for x in rel]
             for start in range(size):
                 cur = start
                 for c in cols:
-                    cur = self.rows[cur][c]
+                    cur = rows[cur][c]
                 if cur != start:
                     return False
         return True
 
 
-def _col(letter: int) -> int:
-    return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
-
-
 DEFAULT_COSET_CAP = 1_000_000
-# Compact the working table once it is this large and mostly dead.
-COMPACT_THRESHOLD = 4096
 
 
 def _columns(n: int, relators: tuple[tuple[int, ...], ...]):
@@ -132,10 +132,9 @@ def _columns(n: int, relators: tuple[tuple[int, ...], ...]):
     self-inverse column shared by +g and -g, and its involution relators are
     not scanned, because the shared column already enforces them; every
     other generator gets a column and an inverse column.  Returns the column
-    of each letter, the inverse of each column, each scanned relator as
-    (forward columns, backward columns, last index), and the column behind
-    each column of CosetTable.  Every enumeration of the same relators can
-    share it.
+    of each letter, the inverse of each column, and each scanned relator as
+    (forward columns, backward columns, last index).  Every enumeration of
+    the same relators can share it, and its tables keep it.
     """
     def is_involution(r: tuple[int, ...]) -> bool:
         return len(r) == 2 and r[0] == r[1]
@@ -154,31 +153,28 @@ def _columns(n: int, relators: tuple[tuple[int, ...], ...]):
     scans = [(tuple(col[x] for x in r), tuple(inv[col[x]] for x in r),
               len(r) - 1)
              for r in relators if not is_involution(r)]
-    layout = [col[x] for g in range(1, n + 1) for x in (g, -g)]
-    return col, inv, scans, layout
+    return col, inv, scans
 
 
 def _enumerate(columns, subgroup: tuple[int, ...] = ()):
     """Resumable HLT-style coset enumeration over H = <subgroup>.
 
     A generator over a layout from `_columns`.  Before each coset it comes
-    to, it yields the number of cosets defined so far, so a caller can stop
-    at a cap and resume later; once the table closes it returns the rows in
-    the two-columns-per-generator layout of CosetTable.  The subgroup
-    generators (positive letters) are made to fix coset 0 before the first
-    scan.  Relators are scanned and filled coset by coset in
-    first-definition order, with coincidences processed eagerly and the
-    table compacted when mostly dead.
+    to, it yields the number of cosets defined so far, which is the number
+    of rows of the working table, so a caller can stop at a cap and resume
+    later; once the table closes it returns the live rows, renumbered, in
+    the same layout.  The subgroup generators (positive letters) are made to
+    fix coset 0 before the first scan.  Relators are scanned and filled
+    coset by coset in first-definition order, with coincidences processed
+    eagerly.
     """
-    col, inv, scans, layout = columns
+    col, inv, scans = columns
     ncols = len(inv)
     table: list[list[int | None]] = [[None] * ncols]
     for g in subgroup:
         table[0][col[g]] = table[0][inv[col[g]]] = 0
     p: list[int] = [0]
     queue: list[int] = []
-    defined = 1
-    n_dead = 0
 
     def rep(k: int) -> int:
         root = k
@@ -189,13 +185,11 @@ def _enumerate(columns, subgroup: tuple[int, ...] = ()):
         return root
 
     def merge(a: int, b: int) -> None:
-        nonlocal n_dead
         a, b = rep(a), rep(b)
         if a != b:
             if b < a:
                 a, b = b, a
             p[b] = a
-            n_dead += 1
             queue.append(b)
 
     def coincidence(a: int, b: int) -> None:
@@ -226,32 +220,17 @@ def _enumerate(columns, subgroup: tuple[int, ...] = ()):
         queue.clear()
 
     def define(alpha: int, c: int) -> int:
-        nonlocal defined
         beta = len(table)
         row: list[int | None] = [None] * ncols
         row[inv[c]] = alpha
         table.append(row)
         p.append(beta)
         table[alpha][c] = beta
-        defined += 1
         return beta
 
-    def renumber() -> tuple[list[int], list[int]]:
-        """The live cosets, and the new index of every coset (a dead one
-        takes its representative's)."""
-        live = [c for c in range(len(table)) if p[c] == c]
-        index = [0] * len(table)
-        for new, old in enumerate(live):
-            index[old] = new
-        for c in range(len(table)):
-            if p[c] != c:
-                index[c] = index[rep(c)]
-        return live, index
-
-    threshold = COMPACT_THRESHOLD
     alpha = 0
     while alpha < len(table):
-        yield defined
+        yield len(table)
         if p[alpha] != alpha:
             alpha += 1
             continue
@@ -293,21 +272,21 @@ def _enumerate(columns, subgroup: tuple[int, ...] = ()):
                 if row[c] is None:
                     define(alpha, c)
         alpha += 1
-        if len(table) > threshold and n_dead * 2 > len(table):
-            live, index = renumber()
-            alpha = sum(1 for c in live if c < alpha)
-            table[:] = [[None if e is None else index[e] for e in table[old]]
-                        for old in live]
-            p[:] = range(len(live))
-            n_dead = 0
 
-    live, index = renumber()
+    # The new index of every coset; a dead one takes its representative's.
+    live = [c for c in range(len(table)) if p[c] == c]
+    index = [0] * len(table)
+    for new, old in enumerate(live):
+        index[old] = new
+    for c in range(len(table)):
+        if p[c] != c:
+            index[c] = index[rep(c)]
     rows = []
     for old in live:
         row = table[old]
         if None in row:
             raise VerifierError("incomplete row survived enumeration")
-        rows.append(tuple(index[row[c]] for c in layout))
+        rows.append(tuple(map(index.__getitem__, row)))
     return tuple(rows)
 
 
@@ -320,13 +299,15 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
     instead of raising once more than `coset_cap` cosets have been defined.
     """
     relators = tuple(r.word.letters for r in P.relators)
-    steps = _enumerate(_columns(P.n_generators, relators), subgroup)
+    columns = _columns(P.n_generators, relators)
+    steps = _enumerate(columns, subgroup)
     try:
         while next(steps) <= coset_cap:
             pass
     except StopIteration as done:
-        return CosetTable(P.n_generators, done.value, "complete", subgroup)
-    return CosetTable(P.n_generators, (), "capped", subgroup)
+        return CosetTable(P.n_generators, columns[0], done.value, "complete",
+                          subgroup)
+    return CosetTable(P.n_generators, columns[0], (), "capped", subgroup)
 
 
 def word_trivial_in_coxeter(table: CosetTable, w: Word) -> bool:
@@ -340,10 +321,10 @@ def word_trivial_in_coxeter(table: CosetTable, w: Word) -> bool:
     if table.subgroup:
         raise VerifierError("a table over a non-trivial subgroup cannot "
                             "decide triviality")
-    rows = table.rows
+    rows, col = table.rows, table.col
     cur = 0
     for x in w.letters:
-        cur = rows[cur][_col(x)]
+        cur = rows[cur][col[x]]
     return cur == 0
 
 
@@ -569,12 +550,14 @@ def _descend(n: int, m_table, relators, coset_cap: int, memo: dict,
     candidates = _descent_candidates(m_table)
     subgroups = [tuple(g for g in range(1, n + 1) if g != v)
                  for v in candidates]
-    won = _race(_columns(n, relators), subgroups, coset_cap)
+    columns = _columns(n, relators)
+    won = _race(columns, subgroups, coset_cap)
     if won is None:
         return None
     i, rows = won
     v = candidates[i]
-    table = CosetTable(n, rows, "complete", subgroups[i])
+    col = columns[0]
+    table = CosetTable(n, col, rows, "complete", subgroups[i])
     if not table._validate(relators):
         raise VerifierError(f"coset table of {label} over all generators "
                             f"but {v} failed validation")
@@ -582,8 +565,8 @@ def _descend(n: int, m_table, relators, coset_cap: int, memo: dict,
                f"{label}\\{v}")
     if u is not None:
         bound = len(rows) * u
-        columns = [tuple(row[2 * g] for row in rows) for g in range(n)]
-        if _order_lower_bound(columns, bound) == bound:
+        gens = [tuple(row[col[g]] for row in rows) for g in range(1, n + 1)]
+        if _order_lower_bound(gens, bound) == bound:
             return bound
     return todd_coxeter(Presentation(
         n_generators=n,

@@ -221,6 +221,26 @@ class TestVerify:
         G = Diagram.from_json(json.loads((FIXTURES / fixture).read_text()))
         assert out == reference_verify(G, fmt=fmt, **reference)
 
+    # sha256 of verify's stdout, as printed while coset tables were still
+    # expanded to two columns per generator.
+    @pytest.mark.parametrize("fixture, flags, exit_code, digest", [
+        ("a3.json", ("--class", "--all-vertices"), 0,
+         "8a28b482d54d711cbde5b1899de6595c08c588e5f3c67f8a32517063756abb0f"),
+        ("a3.json", ("--class", "--all-vertices", "--format", "text"), 0,
+         "7e539b33a397c889808ecd897b5ccede055c76cafb205bbd5cce2f249fbd88ac"),
+        ("b3-triangle.json", ("-k", 1, "--format", "text"), 0,
+         "4cc5598cd0398f840cf53eab0ba9ff267dc5742abbfbf5bc74617fe7e7cf8740"),
+        ("corrupted-map.json", (), 2,
+         "74118b188f44d866ebc6ac98586a9a3bd744391aacd6c9ce7c2e4bf3055f51c0"),
+        ("a2.json", ("-k", 1, "--fuzz", 50, "--seed", 7), 0,
+         "3e3279453660f0263b184e9ba995c40baeb12bd88cd22dc0c62c3f5a24e2978b"),
+    ])
+    def test_output_is_pinned(self, capsys, fixture, flags, exit_code,
+                              digest):
+        code, out = run(capsys, "verify", FIXTURES / fixture, *flags)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_no_instances_prints_empty_results(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text('{"n": 0, "edges": []}')

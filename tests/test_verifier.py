@@ -111,15 +111,21 @@ class TestToddCoxeter:
             }
             assert orders == {WEYL_ORDERS[name]}
 
-    def test_compaction_preserves_the_answer(self, monkeypatch):
-        import cluster_artin.verifier as verifier_module
-
-        monkeypatch.setattr(verifier_module, "COMPACT_THRESHOLD", 16)
-        for name in ("B3", "D4"):
-            P = coxeter_presentation(DYNKIN[name])
+    def test_one_column_per_involution(self):
+        # Every generator of a Coxeter quotient is an involution, so its
+        # table has one entry per generator per coset.
+        for name in TC_FIXTURES:
+            P = TC_PRESENTATIONS[f"quotient-{name}"]()
             table = todd_coxeter(P)
-            assert table.order == WEYL_ORDERS[name]
-            assert table.validate(P)
+            n = P.n_generators
+            assert {len(row) for row in table.rows} == {n}, name
+            assert all(table.col[g] == table.col[-g]
+                       for g in range(1, n + 1)), name
+        widths = {name: {len(row) for row in todd_coxeter(
+            TC_PRESENTATIONS[name]()).rows}
+            for name in ("mixed-columns", "cyclic-3", "order-42")}
+        assert widths == {"mixed-columns": {3}, "cyclic-3": {2},
+                          "order-42": {5}}
 
 
 class TestWordTrivial:
@@ -145,7 +151,7 @@ class TestWordTrivial:
 
 def every_coset_trivial(table, w: Word) -> bool:
     """Reference word check: w must fix every coset of the table."""
-    cols = [2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in w.letters]
+    cols = [table.col[x] for x in w.letters]
     for start in range(len(table.rows)):
         cur = start
         for c in cols:
@@ -191,9 +197,11 @@ def reference_todd_coxeter(P: Presentation,
                            coset_cap: int = DEFAULT_COSET_CAP) -> CosetTable:
     """Reference enumeration: every generator gets a column and an inverse
     column (c ^ 1), and every relator is scanned, involutions included."""
+    col = {x: 2 * (g - 1) + (x < 0)
+           for g in range(1, P.n_generators + 1) for x in (g, -g)}
     ncols = 2 * P.n_generators
-    relcols = [tuple(2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1
-                     for x in r.word.letters) for r in P.relators]
+    relcols = [tuple(map(col.__getitem__, r.word.letters))
+               for r in P.relators]
     table: list[list] = [[None] * ncols]
     p: list[int] = [0]
     defined = 1
@@ -271,7 +279,7 @@ def reference_todd_coxeter(P: Presentation,
     alpha = 0
     while alpha < len(table):
         if defined > coset_cap:
-            return CosetTable(P.n_generators, (), "capped")
+            return CosetTable(P.n_generators, col, (), "capped")
         if rep(alpha) == alpha:
             for rel in relcols:
                 scan_and_fill(alpha, rel)
@@ -284,7 +292,7 @@ def reference_todd_coxeter(P: Presentation,
         alpha += 1
     live = [c for c in range(len(table)) if rep(c) == c]
     remap = {old: new for new, old in enumerate(live)}
-    return CosetTable(P.n_generators, tuple(
+    return CosetTable(P.n_generators, col, tuple(
         tuple(remap[rep(e)] for e in table[old]) for old in live), "complete")
 
 
@@ -352,14 +360,6 @@ def assert_same_as_reference(P: Presentation) -> None:
 class TestToddCoxeterAgainstReference:
     @pytest.mark.parametrize("name", TC_PRESENTATIONS)
     def test_orders_and_verdicts(self, name):
-        assert_same_as_reference(TC_PRESENTATIONS[name]())
-
-    @pytest.mark.parametrize("name", ("coxeter-b3", "coxeter-d4",
-                                      "quotient-square", "order-42"))
-    def test_with_compaction(self, name, monkeypatch):
-        import cluster_artin.verifier as verifier_module
-
-        monkeypatch.setattr(verifier_module, "COMPACT_THRESHOLD", 8)
         assert_same_as_reference(TC_PRESENTATIONS[name]())
 
     def test_known_orders(self):
@@ -659,6 +659,17 @@ class TestSubgroupTables:
         table = todd_coxeter(P)
         assert table.validate(P)
         broken = tuple((row[0], row[0]) for row in table.rows)
+        assert not replace(table, rows=broken).validate(P)
+
+    def test_validate_requires_self_inverse_columns_to_be_involutions(self):
+        # In S3 = <a, b | a^2, b^3, (ab)^2>, a has one self-inverse column;
+        # putting the permutation of b there must fail.
+        P = TC_PRESENTATIONS["mixed-columns"]()
+        table = todd_coxeter(P)
+        assert table.validate(P)
+        a, b = table.col[1], table.col[2]
+        broken = tuple(tuple(row[b] if c == a else e for c, e in enumerate(row))
+                       for row in table.rows)
         assert not replace(table, rows=broken).validate(P)
 
     def test_trivial_subgroup_is_the_default(self):
