@@ -192,13 +192,11 @@ class Relator:
         if not self.word:
             raise PresentationError(f"empty relator from {self.provenance}")
 
-    def canonical_key(self) -> tuple[int, ...]:
-        """Lexicographically least rotation of the cyclic reduction."""
-        return least_cyclic_rotation(self.word.letters)
-
     def sort_key(self):
-        return (_FAMILY_ORDER.get(self.family, 99), self.provenance,
-                self.canonical_key())
+        """(family rank, provenance).  Within a family the builders give
+        relators with different words different provenances, so the words
+        never need comparing."""
+        return (_FAMILY_ORDER.get(self.family, 99), self.provenance)
 
     def to_json(self) -> dict:
         return {
@@ -221,9 +219,6 @@ class Presentation:
     mode: str
     m_table: tuple[tuple[float, ...], ...]
     label: str
-
-    def m(self, i: int, j: int) -> float:
-        return self.m_table[i - 1][j - 1]
 
     def with_relators(self, relators, suffix: str) -> "Presentation":
         """A variant presentation over the same alphabet (for replay suites)."""
@@ -357,6 +352,34 @@ def _finite_cycles(G: Diagram) -> tuple[ChordlessCycle, ...]:
     return cycles
 
 
+def _involution_relators(n: int) -> list[Relator]:
+    """(R1): s_i^2 for every generator."""
+    return [Relator(Word((i, i)), "R1", f"({i})") for i in range(1, n + 1)]
+
+
+def _braid_relators(G: Diagram, affine: bool = False) -> list[Relator]:
+    """(T2) for every vertex pair; affine mode skips pairs with infinite m."""
+    relators = []
+    for i in range(1, G.n + 1):
+        for j in range(i + 1, G.n + 1):
+            m = m_value(G, i, j, affine=affine)
+            if m != INFINITE_M:
+                relators.append(braid_relator(i, j, int(m)))
+    return relators
+
+
+def _presentation(G: Diagram, tag: str, mode: str, relators,
+                  affine: bool = False) -> Presentation:
+    """The presentation of G on its sorted relators, labelled tag[n|edges]."""
+    return Presentation(
+        n_generators=G.n,
+        relators=tuple(sorted(relators, key=Relator.sort_key)),
+        mode=mode,
+        m_table=_m_table(G, affine),
+        label=f"{tag}[{G.n}|{_diagram_tag(G)}]",
+    )
+
+
 def artin_presentation(G: Diagram, minimal_t3: bool = False) -> Presentation:
     """The Artin presentation: (T2) for every pair, (T3) on qualifying rotations.
 
@@ -366,10 +389,7 @@ def artin_presentation(G: Diagram, minimal_t3: bool = False) -> Presentation:
     assumed).
     """
     cycles = _finite_cycles(G)
-    relators = []
-    for i in range(1, G.n + 1):
-        for j in range(i + 1, G.n + 1):
-            relators.append(braid_relator(i, j, int(m_value(G, i, j))))
+    relators = _braid_relators(G)
     for cycle in cycles:
         for a in range(len(cycle.vertices)):
             if t3_qualifies(cycle, a):
@@ -377,13 +397,7 @@ def artin_presentation(G: Diagram, minimal_t3: bool = False) -> Presentation:
                 if minimal_t3:
                     break
     tag = "artin-min" if minimal_t3 else "artin"
-    return Presentation(
-        n_generators=G.n,
-        relators=tuple(sorted(relators, key=Relator.sort_key)),
-        mode="artin",
-        m_table=_m_table(G, affine=False),
-        label=f"{tag}[{G.n}|{_diagram_tag(G)}]",
-    )
+    return _presentation(G, tag, "artin", relators)
 
 
 def coxeter_presentation(G: Diagram) -> Presentation:
@@ -394,9 +408,7 @@ def coxeter_presentation(G: Diagram) -> Presentation:
     entering i_a, for cycles containing weight-2 edges.
     """
     cycles = _finite_cycles(G)
-    relators = []
-    for i in range(1, G.n + 1):
-        relators.append(Relator(Word((i, i)), "R1", f"({i})"))
+    relators = _involution_relators(G.n)
     for i in range(1, G.n + 1):
         for j in range(i + 1, G.n + 1):
             m = int(m_value(G, i, j))
@@ -411,22 +423,14 @@ def coxeter_presentation(G: Diagram) -> Presentation:
             prov = (f"r({cycle.vertices[a]},{cycle.vertices[(a + 1) % d]})^{k};"
                     f"cycle={cycle.vertices}")
             relators.append(Relator(word, "R3a" if all_one else "R3b", prov))
-    return Presentation(
-        n_generators=G.n,
-        relators=tuple(sorted(relators, key=Relator.sort_key)),
-        mode="coxeter",
-        m_table=_m_table(G, affine=False),
-        label=f"coxeter[{G.n}|{_diagram_tag(G)}]",
-    )
+    return _presentation(G, "coxeter", "coxeter", relators)
 
 
 def coxeter_quotient(P: Presentation) -> Presentation:
     """Add the involution relators s_i^2 to an Artin presentation."""
     if P.mode == "coxeter":
         return P
-    extra = tuple(
-        Relator(Word((i, i)), "R1", f"({i})") for i in range(1, P.n_generators + 1)
-    )
+    extra = tuple(_involution_relators(P.n_generators))
     return replace(P, relators=extra + P.relators, mode="coxeter",
                    label=f"quotient[{P.label}]")
 
@@ -573,12 +577,7 @@ def affine_artin_presentation(
     (T3) relations of order m(l) on every oriented chordless cycle, and (T4)
     relators wherever a supplied pattern matches an induced subdiagram.
     """
-    relators = []
-    for i in range(1, G.n + 1):
-        for j in range(i + 1, G.n + 1):
-            m = m_value(G, i, j, affine=True)
-            if m != INFINITE_M:
-                relators.append(braid_relator(i, j, int(m)))
+    relators = _braid_relators(G, affine=True)
     for cycle in chordless_cycles(G, affine=True):
         if not cycle.oriented:
             continue
@@ -601,10 +600,4 @@ def affine_artin_presentation(
                     Word(mapped), "T4",
                     f"row{pattern.row}.{idx}@{image}",
                 ))
-    return Presentation(
-        n_generators=G.n,
-        relators=tuple(sorted(relators, key=Relator.sort_key)),
-        mode="artin",
-        m_table=_m_table(G, affine=True),
-        label=f"affine-artin[{G.n}|{_diagram_tag(G)}]",
-    )
+    return _presentation(G, "affine-artin", "artin", relators, affine=True)

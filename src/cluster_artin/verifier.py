@@ -24,13 +24,14 @@ generated by all generators but one, found by coset enumeration over that
 subgroup, times the order of the sub-presentation on those generators, found
 the same way, bounds the order from above.  A stabilizer chain of the
 permutation action on the cosets bounds it from below, and when the two
-meet the order is proved.  Otherwise a full table decides it.  Coset
-enumeration has one implementation, `_enumerate`, which can pause after any
-row and resume: `todd_coxeter` runs it to completion or to the cap, and the
-descent races the candidate subgroups on it, always advancing the one with
-the fewest cosets defined, so no loser grows past the winner by more than a
-row.  The census passes one memo per class, so each distinct
-sub-presentation is decided once.
+meet the order is proved.  Otherwise the same race, alone, over the trivial
+subgroup on the same columns decides it.  Coset enumeration has one
+implementation, `_enumerate`, which can pause after any row and resume, and
+one loop that runs it, `_race`: `todd_coxeter` runs one enumeration in it
+to completion or to the cap, and the descent races the candidate subgroups
+in it, always advancing the one with the fewest cosets defined, so no loser
+grows past the winner by more than a row.  The census passes one memo per
+class, so each distinct sub-presentation is decided once.
 """
 
 from __future__ import annotations
@@ -112,6 +113,11 @@ class CosetTable:
             if any(rows[rows[k][c]][ic] != k for k in range(size)):
                 return False
         for rel in relators:
+            # The loop above has already made a self-inverse column an
+            # involution, which is all its involution relator says.
+            if (len(rel) == 2 and rel[0] == rel[1]
+                    and col[rel[0]] == col[-rel[0]]):
+                continue
             cols = [col[x] for x in rel]
             for start in range(size):
                 cur = start
@@ -290,24 +296,46 @@ def _enumerate(columns, subgroup: tuple[int, ...] = ()):
     return tuple(rows)
 
 
+def _race(columns, subgroups: list[tuple[int, ...]], coset_cap: int):
+    """(i, rows) for the first of the enumerations over `subgroups` to
+    complete, or None when every one defines more than `coset_cap` cosets.
+
+    The enumeration with the fewest cosets defined so far always goes next
+    (the earlier one on a tie), and one row at a time.  So a loser stops
+    within one row of the winner's final count, and each is dropped as soon
+    as it passes the cap.
+    """
+    runs = [_enumerate(columns, H) for H in subgroups]
+    heap = [(1, i) for i in range(len(runs))]
+    while heap:
+        i = heap[0][1]
+        try:
+            defined = next(runs[i])
+        except StopIteration as done:
+            return i, done.value
+        if defined > coset_cap:
+            heappop(heap)
+        else:
+            heapreplace(heap, (defined, i))
+    return None
+
+
 def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
                  subgroup: tuple[int, ...] = ()) -> CosetTable:
     """HLT-style coset enumeration of P over H = <subgroup>.
 
     `subgroup` lists generators (positive letters) of H; by default H is
-    trivial.  Runs `_enumerate` to completion, or returns a capped table
-    instead of raising once more than `coset_cap` cosets have been defined.
+    trivial.  Runs `_enumerate` alone in a `_race` to completion, or returns
+    a capped table instead of raising once more than `coset_cap` cosets have
+    been defined.
     """
-    relators = tuple(r.word.letters for r in P.relators)
-    columns = _columns(P.n_generators, relators)
-    steps = _enumerate(columns, subgroup)
-    try:
-        while next(steps) <= coset_cap:
-            pass
-    except StopIteration as done:
-        return CosetTable(P.n_generators, columns[0], done.value, "complete",
-                          subgroup)
-    return CosetTable(P.n_generators, columns[0], (), "capped", subgroup)
+    columns = _columns(P.n_generators,
+                       tuple(r.word.letters for r in P.relators))
+    won = _race(columns, [subgroup], coset_cap)
+    if won is None:
+        return CosetTable(P.n_generators, columns[0], (), "capped", subgroup)
+    return CosetTable(P.n_generators, columns[0], won[1], "complete",
+                      subgroup)
 
 
 def word_trivial_in_coxeter(table: CosetTable, w: Word) -> bool:
@@ -472,30 +500,6 @@ def _without_generator(n: int, m_table, relators, v: int):
                   if v not in r and -v not in r))
 
 
-def _race(columns, subgroups: list[tuple[int, ...]], coset_cap: int):
-    """(i, rows) for the first of the enumerations over `subgroups` to
-    complete, or None when every one defines more than `coset_cap` cosets.
-
-    The enumeration with the fewest cosets defined so far always goes next
-    (the earlier one on a tie), and one row at a time.  So a loser stops
-    within one row of the winner's final count, and each is dropped as soon
-    as it passes the cap.
-    """
-    runs = [_enumerate(columns, H) for H in subgroups]
-    heap = [(1, i) for i in range(len(runs))]
-    while heap:
-        i = heap[0][1]
-        try:
-            defined = next(runs[i])
-        except StopIteration as done:
-            return i, done.value
-        if defined > coset_cap:
-            heappop(heap)
-        else:
-            heapreplace(heap, (defined, i))
-    return None
-
-
 def group_order(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
                 memo: dict | None = None) -> int | None:
     """The order of the group G that P presents; None when undecided.
@@ -511,10 +515,10 @@ def group_order(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
     |G| = [G:H] |H| <= [G:H] u.  The validated coset table of H is a
     permutation action of G, so a stabilizer chain of its image that
     reaches [G:H] u proves |G| = [G:H] u.  Otherwise (the action is
-    unfaithful, u is None or the chain stalls) the full table
-    `todd_coxeter(P, coset_cap)` decides.  None means that no candidate
-    completed under `coset_cap`, as for an infinite group, or that the full
-    table capped.
+    unfaithful, u is None or the chain stalls) `_race` runs alone over the
+    trivial subgroup on the same columns, and the size of that full table
+    decides.  None means that no candidate completed under `coset_cap`, as
+    for an infinite group, or that the full table capped.
 
     The sub-presentations are carried as (generator count, m_table,
     relator letters).  `memo` maps each presentation decided so far, keyed
@@ -526,25 +530,24 @@ def group_order(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
     if memo is None:
         memo = {}
     return _order(P.n_generators, P.m_table,
-                  tuple(r.word.letters for r in P.relators), coset_cap, memo,
-                  P.label)
+                  tuple(r.word.letters for r in P.relators), coset_cap, memo)
 
 
-def _order(n: int, m_table, relators, coset_cap: int, memo: dict,
-           label: str) -> int | None:
+def _order(n: int, m_table, relators, coset_cap: int,
+           memo: dict) -> int | None:
     """`group_order` of the presentation (n, m_table, relators)."""
     key = (coset_cap, n, m_table, relators)
     if key not in memo:
-        memo[key] = _descend(n, m_table, relators, coset_cap, memo, label)
+        memo[key] = _descend(n, m_table, relators, coset_cap, memo)
     return memo[key]
 
 
-def _descend(n: int, m_table, relators, coset_cap: int, memo: dict,
-             label: str) -> int | None:
+def _descend(n: int, m_table, relators, coset_cap: int,
+             memo: dict) -> int | None:
     """One level of the descent in `group_order`: race the candidates,
     validate the winner's table, find u through the memo, then prove the
-    bound or fall back to the full table.  `label` names the presentation
-    in errors and on the full table's Presentation."""
+    bound or fall back to the race, alone, over the trivial subgroup on the
+    same columns."""
     if n == 0:
         return 1
     candidates = _descent_candidates(m_table)
@@ -559,22 +562,16 @@ def _descend(n: int, m_table, relators, coset_cap: int, memo: dict,
     col = columns[0]
     table = CosetTable(n, col, rows, "complete", subgroups[i])
     if not table._validate(relators):
-        raise VerifierError(f"coset table of {label} over all generators "
-                            f"but {v} failed validation")
-    u = _order(*_without_generator(n, m_table, relators, v), coset_cap, memo,
-               f"{label}\\{v}")
+        raise VerifierError(f"coset table over all generators but {v} "
+                            f"(of {n}) failed validation")
+    u = _order(*_without_generator(n, m_table, relators, v), coset_cap, memo)
     if u is not None:
         bound = len(rows) * u
         gens = [tuple(row[col[g]] for row in rows) for g in range(1, n + 1)]
         if _order_lower_bound(gens, bound) == bound:
             return bound
-    return todd_coxeter(Presentation(
-        n_generators=n,
-        relators=tuple(Relator(Word(r), "descent", label) for r in relators),
-        mode="coxeter",
-        m_table=m_table,
-        label=label,
-    ), coset_cap).order
+    won = _race(columns, [()], coset_cap)
+    return None if won is None else len(won[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,23 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cluster_artin import (
     Diagram,
+    DiagramError,
     NotFiniteTypeError,
     PresentationError,
     Word,
+    affine_artin_presentation,
     artin_presentation,
     braid_relator,
     chordless_cycles,
     coxeter_presentation,
     coxeter_quotient,
+    load_t4_patterns,
     m_value,
+    mutation_class,
     p_word,
     t3_qualifies,
     t_relator,
@@ -23,7 +29,7 @@ from cluster_artin.presentation import (
     splice,
 )
 
-from conftest import DYNKIN, SQUARE, TRIANGLE_221
+from conftest import DYNKIN, FIXTURES, SQUARE, TRIANGLE_221
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
 letter_seqs = st.lists(letters, max_size=24).map(tuple)
@@ -271,3 +277,37 @@ class TestExports:
         a = artin_presentation(SQUARE)
         b = artin_presentation(SQUARE)
         assert [r.provenance for r in a.relators] == [r.provenance for r in b.relators]
+
+    def test_family_and_provenance_order_the_relators(self):
+        # Relator.sort_key is (family rank, provenance): two relators of one
+        # family may share a provenance only when they share the word too,
+        # so no tiebreak on the word could change the order.
+        with open(FIXTURES / "t4-patterns.json", encoding="utf-8") as fh:
+            patterns = load_t4_patterns(json.load(fh))
+        builders = {
+            "artin": artin_presentation,
+            "artin-min": lambda D: artin_presentation(D, minimal_t3=True),
+            "coxeter": coxeter_presentation,
+            "affine": lambda D: affine_artin_presentation(D, patterns),
+        }
+        built = dict.fromkeys(builders, 0)
+        for path in sorted(FIXTURES.glob("*.json")):
+            with open(path, encoding="utf-8") as fh:
+                try:
+                    G = Diagram.from_json(json.load(fh))
+                except DiagramError:
+                    continue  # a map or pattern fixture
+            members = (G, *mutation_class(G)) if G.n <= 6 else (G,)
+            for D in members:
+                for name, build in builders.items():
+                    try:
+                        P = build(D)
+                    except PresentationError:
+                        continue  # outside the builder's taxonomy
+                    built[name] += 1
+                    words = {}
+                    for r in P.relators:
+                        key = (r.family, r.provenance)
+                        assert words.setdefault(key, r.word) == r.word, (
+                            path.name, D.edges, name, key)
+        assert all(built.values()), built

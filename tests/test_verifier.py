@@ -438,19 +438,32 @@ WEYL_BY_DEGREES = {
 @pytest.fixture
 def fallbacks(monkeypatch):
     """group_order's fallbacks, recorded as they happen: every full table
-    on more than one generator, and every stabilizer chain that stalls
-    short of its target.  (A one-generator presentation's only candidate
-    subgroup is trivial, so its table is no fallback.)"""
+    the descent builds on more than one generator, as ("full table", the
+    generator count), and every stabilizer chain that stalls short of its
+    target.  (A one-generator presentation's only candidate subgroup is
+    trivial, so its table is no fallback; nor is a table built outside the
+    descent.)"""
     import cluster_artin.verifier as verifier_module
 
     log = []
-    enumerate_cosets = verifier_module.todd_coxeter
+    depth = 0
+    descend = verifier_module._descend
+    race = verifier_module._race
     lower_bound = verifier_module._order_lower_bound
 
-    def counting_todd_coxeter(P, coset_cap=DEFAULT_COSET_CAP, subgroup=()):
-        if not subgroup and P.n_generators > 1:
-            log.append(("full table", P.label))
-        return enumerate_cosets(P, coset_cap, subgroup)
+    def counting_descend(*args):
+        nonlocal depth
+        depth += 1
+        try:
+            return descend(*args)
+        finally:
+            depth -= 1
+
+    def counting_race(columns, subgroups, coset_cap):
+        col = columns[0]
+        if depth and subgroups == [()] and len(col) > 2:
+            log.append(("full table", len(col) // 2))
+        return race(columns, subgroups, coset_cap)
 
     def counting_lower_bound(gens, target):
         bound = lower_bound(gens, target)
@@ -458,7 +471,8 @@ def fallbacks(monkeypatch):
             log.append(("stall", bound, target))
         return bound
 
-    monkeypatch.setattr(verifier_module, "todd_coxeter", counting_todd_coxeter)
+    monkeypatch.setattr(verifier_module, "_descend", counting_descend)
+    monkeypatch.setattr(verifier_module, "_race", counting_race)
     monkeypatch.setattr(verifier_module, "_order_lower_bound",
                         counting_lower_bound)
     return log
@@ -516,7 +530,24 @@ class TestGroupOrder:
         # <b>: the action on them has order 2 against the bound 2 * 2 = 4.
         P = small_presentation(2, (1, 1), (2, 2), (1, 2) * 2)
         assert group_order(P) == 4
-        assert ("full table", P.label) in fallbacks
+        assert ("full table", 2) in fallbacks
+
+    def test_forced_fallback_matches_the_full_table(self, monkeypatch,
+                                                    fallbacks):
+        # With no lower bound, no chain proves its bound, so every level of
+        # the descent with more than one generator builds its full table.
+        import cluster_artin.verifier as verifier_module
+
+        monkeypatch.setattr(verifier_module, "_order_lower_bound",
+                            lambda gens, target: 0)
+        for name, build in TC_PRESENTATIONS.items():
+            P = build()
+            fallbacks.clear()
+            assert group_order(P) == todd_coxeter(P).order, name
+            if P.n_generators > 1:
+                assert ("full table", P.n_generators) in fallbacks, name
+        assert group_order(coxeter_presentation(AFFINE_C2),
+                           coset_cap=2000) is None
 
     def test_infinite_group_is_undecided_without_a_full_table(self, fallbacks):
         assert group_order(coxeter_presentation(AFFINE_C2),
