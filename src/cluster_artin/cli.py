@@ -284,9 +284,13 @@ def cmd_verify(args) -> int:
     if not args.all_vertices and args.vertex is None:
         raise DiagramError("pass -k VERTEX or --all-vertices")
     G = Diagram.from_json(obj)
+    if args.fuzz and G.n == 0:
+        raise DiagramError("--fuzz needs a diagram with at least one vertex")
     diagrams = mutation_class(G, cap=args.cap) if args.mutation_class else (G,)
     presenter = _presenter(args)
     budget = _budget(args)
+    # Targets with the same relators share one table and move list per run.
+    memo: dict = {}
     worst = PASS
     rank = {PASS: 0, INCONCLUSIVE: 1, FAIL: 2}
     # Rendered instances wait in the spool, not on stdout: "fuzz" comes
@@ -298,7 +302,7 @@ def cmd_verify(args) -> int:
             vertices = range(1, D.n + 1) if args.all_vertices else [args.vertex]
             for k in vertices:
                 report = verify_mutation_invariance(
-                    D, k, budget, args.coset_cap, presenter
+                    D, k, budget, args.coset_cap, presenter, memo
                 )
                 if rank[report.status] > rank[worst]:
                     worst = report.status
@@ -312,9 +316,8 @@ def cmd_verify(args) -> int:
                         f"{report.status} diagram={edges} k={report.vertex}\n")
         fuzz = None
         if args.fuzz:
-            fuzz = fuzz_soundness(
-                presenter(G), args.fuzz, seed=args.seed, coset_cap=args.coset_cap
-            )
+            fuzz = fuzz_soundness(presenter(G), args.fuzz, seed=args.seed,
+                                  coset_cap=args.coset_cap, memo=memo)
         spool.seek(0)
         # The bytes of _emit's rendering of {"fuzz"?, "results", "status"}.
         out = sys.stdout

@@ -30,8 +30,10 @@ implementation, `_enumerate`, which can pause after any row and resume, and
 one loop that runs it, `_race`: `todd_coxeter` runs one enumeration in it
 to completion or to the cap, and the descent races the candidate subgroups
 in it, always advancing the one with the fewest cosets defined, so no loser
-grows past the winner by more than a row.  The census passes one memo per
-class, so each distinct sub-presentation is decided once.
+grows past the winner by more than a row.  No state outlives a run: the
+census passes one memo to every `group_order` call, and `verify` one to
+every `verify_mutation_invariance` and `fuzz_soundness` call, so each
+distinct order, quotient table and move list is computed once per run.
 """
 
 from __future__ import annotations
@@ -656,26 +658,22 @@ class SearchBudget:
 
 DEFAULT_BUDGET = SearchBudget()
 
-_MOVE_CACHE: dict[tuple, tuple] = {}
 
-
-def _presentation_key(P: Presentation) -> tuple:
-    return (P.n_generators, tuple(r.word.letters for r in P.relators))
-
-
-def _moves_for(P: Presentation):
+def _moves_for(P: Presentation, memo: dict | None = None):
     """All distinct rotated / inverted relator forms, tagged for certificates.
 
     Each move is (tag, -first, -last, reduced): the negated end letters of
     the raw rotated form pick insertion seams, and `reduced` is its free
     reduction, which splices to the same word because free reduction is
     confluent.  A rotation of a relator that is not cyclically reduced is
-    itself not reduced.
+    itself not reduced.  `memo` keeps the list by (generator count, relator
+    letters).
     """
-    key = _presentation_key(P)
-    cached = _MOVE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if memo is None:
+        memo = {}
+    key = (P.n_generators, tuple(r.word.letters for r in P.relators))
+    if key in memo:
+        return memo[key]
     moves = []
     seen = set()
     for rid, rel in enumerate(P.relators):
@@ -690,13 +688,13 @@ def _moves_for(P: Presentation):
                 seen.add(letters)
                 moves.append(((rid, rot, inverted), -letters[0], -letters[-1],
                               free_reduce(letters)))
-    result = tuple(moves)
-    _MOVE_CACHE[key] = result
-    return result
+    memo[key] = tuple(moves)
+    return memo[key]
 
 
 def prove_trivial(
-    P: Presentation, w: Word, budget: SearchBudget = DEFAULT_BUDGET
+    P: Presentation, w: Word, budget: SearchBudget = DEFAULT_BUDGET,
+    memo: dict | None = None,
 ) -> ProofCertificate | None:
     """Search for a proof that w = e in the group presented by P.
 
@@ -704,7 +702,8 @@ def prove_trivial(
     form may be inserted at either end of the word or at any seam where at
     least one letter cancels.  States are deduplicated by their reduced word;
     shorter words are expanded first.  Success yields a certificate; None
-    means the budget ran out and says nothing about nontriviality.
+    means the budget ran out and says nothing about nontriviality.  The
+    move list of P is kept in `memo`, the run's memo.
     """
     start = w.letters
     if not start:
@@ -712,7 +711,7 @@ def prove_trivial(
     maxlen = budget.limit_for(w)
     if len(start) > maxlen:
         return None
-    moves = _moves_for(P)
+    moves = _moves_for(P, memo)
     # parent[word] = (previous word, position, (rid, rot, inverted))
     parent: dict[tuple[int, ...], tuple | None] = {start: None}
     heap: list[tuple[int, int, tuple[int, ...]]] = [(len(start), 0, start)]
@@ -789,17 +788,16 @@ def replay_certificate(P: Presentation, cert: ProofCertificate) -> bool:
 # Verification reports
 
 
-_TABLE_CACHE: dict[tuple, CosetTable] = {}
-
-
-def quotient_table(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP) -> CosetTable:
-    """Coset table of the Coxeter quotient of P (cached per presentation)."""
-    key = (_presentation_key(P), coset_cap)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = todd_coxeter(coxeter_quotient(P), coset_cap)
-        _TABLE_CACHE[key] = table
-    return table
+def quotient_table(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
+                   memo: dict | None = None) -> CosetTable:
+    """Coset table of the Coxeter quotient of P, kept in `memo` (the run's
+    memo) by (coset_cap, generator count, relator letters)."""
+    if memo is None:
+        memo = {}
+    key = (coset_cap, P.n_generators, tuple(r.word.letters for r in P.relators))
+    if key not in memo:
+        memo[key] = todd_coxeter(coxeter_quotient(P), coset_cap)
+    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -855,6 +853,7 @@ def _check_one(
     relator: Relator,
     image: Word,
     budget: SearchBudget,
+    memo: dict,
 ) -> RelatorCheck:
     ab = abelianization_check(target, image)
     cox = None
@@ -862,7 +861,7 @@ def _check_one(
         cox = word_trivial_in_coxeter(table, image)
     cert = None
     if ab and cox is not False:
-        cert = prove_trivial(target, image, budget)
+        cert = prove_trivial(target, image, budget, memo)
     if cert is not None and not replay_certificate(target, cert):
         raise VerifierError(
             f"certificate replay failed for {relator.provenance}"
@@ -881,6 +880,7 @@ def verify_homomorphism(
     gmap: GroupMap,
     budget: SearchBudget = DEFAULT_BUDGET,
     coset_cap: int = DEFAULT_COSET_CAP,
+    memo: dict | None = None,
 ) -> HomReport:
     """Check that every source relator maps to a trivial word in the target.
 
@@ -890,8 +890,11 @@ def verify_homomorphism(
     INCONCLUSIVE marks budget-limited searches and capped tables, never
     silence.
     """
-    table = quotient_table(gmap.target, coset_cap)
-    checks = [_check_one(gmap.target, table, r, transport(gmap, r.word), budget)
+    if memo is None:
+        memo = {}
+    table = quotient_table(gmap.target, coset_cap, memo)
+    checks = [_check_one(gmap.target, table, r, transport(gmap, r.word), budget,
+                         memo)
               for r in gmap.source.relators]
     if any(c.failed for c in checks):
         status = FAIL
@@ -930,6 +933,7 @@ def verify_mutation_invariance(
     budget: SearchBudget = DEFAULT_BUDGET,
     coset_cap: int = DEFAULT_COSET_CAP,
     presenter: Presenter = artin_presentation,
+    memo: dict | None = None,
 ) -> InvarianceReport:
     """Certify one instance of mutation invariance at vertex k.
 
@@ -948,8 +952,8 @@ def verify_mutation_invariance(
         phi_psi.images[i].letters == (i + 1,)
         for i in range(phi_psi.source.n_generators)
     )
-    phi_report = verify_homomorphism(f, budget, coset_cap)
-    psi_report = verify_homomorphism(g, budget, coset_cap)
+    phi_report = verify_homomorphism(f, budget, coset_cap, memo)
+    psi_report = verify_homomorphism(g, budget, coset_cap, memo)
     if FAIL in (phi_report.status, psi_report.status) or not roundtrips:
         status = FAIL
     elif phi_report.status == psi_report.status == PASS:
@@ -968,6 +972,7 @@ def fuzz_soundness(
     seed: int = 0,
     budget: SearchBudget = FUZZ_BUDGET,
     coset_cap: int = DEFAULT_COSET_CAP,
+    memo: dict | None = None,
 ) -> dict:
     """Cross-check the prover against the Coxeter quotient on random words.
 
@@ -976,8 +981,10 @@ def fuzz_soundness(
     soundness bug and raises.  Returns summary counts; NotFound outcomes are
     recorded, never interpreted.
     """
+    if memo is None:
+        memo = {}
     rng = random.Random(seed)
-    table = quotient_table(P, coset_cap)
+    table = quotient_table(P, coset_cap, memo)
     stats = {"words": 0, "quotient_rejected": 0, "quotient_trivial": 0,
              "certified": 0, "not_found": 0}
     for _ in range(n_words):
@@ -995,7 +1002,7 @@ def fuzz_soundness(
                 stats["quotient_trivial"] += 1
             else:
                 stats["quotient_rejected"] += 1
-        cert = prove_trivial(P, w, budget)
+        cert = prove_trivial(P, w, budget, memo)
         if cert is None:
             stats["not_found"] += 1
             continue

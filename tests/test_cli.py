@@ -7,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from cluster_artin import Diagram, artin_presentation, cli, mutation_class
+from cluster_artin import (
+    Diagram,
+    artin_presentation,
+    cli,
+    coxeter_quotient,
+    mutation_class,
+    phi,
+    psi,
+    verifier,
+)
 from cluster_artin.cli import main
 from cluster_artin.verifier import (
     FAIL,
@@ -19,7 +28,7 @@ from cluster_artin.verifier import (
     verify_mutation_invariance,
 )
 
-from conftest import FIXTURES, GOLDEN, REPO, path_diagram
+from conftest import FIXTURES, GOLDEN, REPO, load_fixture, path_diagram
 
 
 def run(capsys, *argv):
@@ -50,6 +59,20 @@ def reference_verify(G: Diagram, vertex=None, *, whole_class=False,
     return "\n".join(lines) + "\n"
 
 
+def relator_set(P) -> tuple:
+    return P.n_generators, tuple(r.word.letters for r in P.relators)
+
+
+def module_container_sizes() -> dict:
+    """The len() of every module-level dict, list and set in cluster_artin."""
+    return {(name, attr): len(value)
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "cluster_artin"
+            for attr, value in vars(module).items()
+            if not attr.startswith("__")
+            and isinstance(value, (dict, list, set))}
+
+
 # A fresh interpreter runs `verify` with stdout sent to /dev/null and
 # prints its own peak resident set (VmHWM).  ru_maxrss would not do: a
 # child spawned by vfork starts out charged with the spawner's pages.
@@ -78,7 +101,7 @@ class TestMutate:
     def test_double_mutation_is_identity(self, capsys, tmp_path):
         code, out = run(capsys, "mutate", FIXTURES / "square.json", "-k", 1, "-k", 1)
         assert code == 0
-        original = json.load(open(FIXTURES / "square.json"))
+        original = load_fixture("square.json")
         assert json.loads(out) == {
             "n": original["n"],
             "edges": sorted(original["edges"]),
@@ -101,7 +124,7 @@ class TestMutate:
         path = tmp_path / "mutated.json"
         path.write_text(out)
         code, back = run(capsys, "mutate", path, "-k", 2)
-        assert json.loads(back) == json.load(open(FIXTURES / "a3.json"))
+        assert json.loads(back) == load_fixture("a3.json")
 
     def test_invalid_vertex_errors(self, capsys):
         code = main(["mutate", str(FIXTURES / "a3.json"), "-k", "9"])
@@ -269,6 +292,39 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: third instance failed\n"
 
+    def test_one_quotient_table_per_distinct_relator_set(self, capsys,
+                                                         monkeypatch):
+        enumerated = []
+        todd_coxeter = verifier.todd_coxeter
+
+        def recording(P, *args, **kwargs):
+            enumerated.append(relator_set(P))
+            return todd_coxeter(P, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "todd_coxeter", recording)
+        code, _ = run(capsys, "verify", FIXTURES / "a3.json", "--class",
+                      "--all-vertices", "--fuzz", 20)
+        assert code == 0
+        G = Diagram.from_json(load_fixture("a3.json"))
+        targets = [artin_presentation(G)] + [
+            m.target for D in mutation_class(G) for k in range(1, D.n + 1)
+            for m in (phi(D, k), psi(D, k))]
+        distinct = {relator_set(coxeter_quotient(T)) for T in targets}
+        assert len(distinct) < len(targets)
+        assert sorted(enumerated) == sorted(distinct)
+
+    def test_repeated_runs_leave_module_state_unchanged(self, capsys):
+        # A coset cap that no other test passes: a cache keyed by it that
+        # outlived the run would have to grow.
+        argv = ("verify", FIXTURES / "a3.json", "--class", "--all-vertices",
+                "--fuzz", 20, "--seed", 3, "--coset-cap", 999_983)
+        before = module_container_sizes()
+        first = run(capsys, *argv)
+        after_first = module_container_sizes()
+        assert first == run(capsys, *argv)
+        assert first[0] == 0
+        assert before == after_first == module_container_sizes()
+
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads VmHWM from /proc (Linux)")
     def test_class_run_memory_does_not_grow_with_output(self, tmp_path):
@@ -326,7 +382,7 @@ MALFORMED_DIAGRAMS = {
 
 def map_fixture(**changes) -> dict:
     """The corrupted-map fixture with keys replaced (None deletes a key)."""
-    obj = json.load(open(FIXTURES / "corrupted-map.json"))
+    obj = load_fixture("corrupted-map.json")
     for key, value in changes.items():
         if value is None:
             del obj[key]
@@ -488,6 +544,20 @@ class TestMalformedInput:
             capsys, main(["verify", str(FIXTURES / name), *flags]))
         for flag in named:
             assert flag in err
+
+    @pytest.mark.parametrize("flags", ((), ("--class",)),
+                             ids=("diagram", "class"))
+    def test_fuzz_without_vertices_clean_error_line(self, capsys, monkeypatch,
+                                                    tmp_path, flags):
+        def class_bfs(*args, **kwargs):
+            raise AssertionError("--fuzz must be checked before the class BFS")
+
+        monkeypatch.setattr(cli, "mutation_class", class_bfs)
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 0, "edges": []}')
+        err = assert_clean_error(capsys, main([
+            "verify", str(path), "--all-vertices", "--fuzz", "3", *flags]))
+        assert "--fuzz" in err
 
     @pytest.mark.parametrize("argv, named", PRESENTER_FLAG_CONFLICTS.values(),
                              ids=PRESENTER_FLAG_CONFLICTS.keys())
@@ -652,4 +722,4 @@ class TestCyclesAndOpposite:
         path = tmp_path / "op.json"
         path.write_text(out)
         code, back = run(capsys, "opposite", path)
-        assert json.loads(back) == json.load(open(FIXTURES / "square.json"))
+        assert json.loads(back) == load_fixture("square.json")

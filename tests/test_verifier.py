@@ -661,6 +661,29 @@ class TestGroupOrderMemo:
         assert len(memo) == entries
 
 
+class TestVerifyMemo:
+    def test_quotient_table_comes_from_the_memo(self):
+        P = artin_presentation(Diagram.from_json(load_fixture("a3.json")))
+        memo = {}
+        table = quotient_table(P, DEFAULT_COSET_CAP, memo)
+        assert quotient_table(P, DEFAULT_COSET_CAP, memo) is table
+        # Without a memo nothing is kept: each call enumerates afresh.
+        fresh = quotient_table(P)
+        assert fresh is not table and fresh is not quotient_table(P)
+        assert fresh.rows == table.rows
+
+    @pytest.mark.parametrize("name", ("a3", "b3-triangle"))
+    def test_prove_trivial_with_a_memo_gives_the_same_certificates(self, name):
+        P = artin_presentation(Diagram.from_json(load_fixture(f"{name}.json")))
+        memo = {}
+        for r in P.relators:
+            cert = prove_trivial(P, r.word, DEFAULT_BUDGET, memo)
+            assert cert is not None
+            assert cert == prove_trivial(P, r.word)
+        # The relators of one presentation share one move list.
+        assert len(memo) == 1
+
+
 class TestSubgroupTables:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_symmetric_group_over_its_point_stabilizer(self, n):
