@@ -204,8 +204,9 @@ def cmd_enumerate(args) -> int:
         for c in chordless_cycles(D):
             counts[c.cycle_class.value] = counts.get(c.cycle_class.value, 0) + 1
         presented.append((D, counts, coxeter_presentation(D)))
-    # Class members share most of their sub-presentations, so one memo
-    # decides each distinct one once.
+    # Class members share most of their sub-presentations, and many are
+    # relabellings of each other, so one memo decides each once up to
+    # relabelling of its generators.
     memo: dict = {}
     census = []
     decided = set()

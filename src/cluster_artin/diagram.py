@@ -39,7 +39,8 @@ class BudgetExceededError(RuntimeError):
 
 DEFAULT_CLASS_BUDGET = 20_000
 DEFAULT_CANONICAL_BOUND = 12
-# Safety valve for the canonical search on near-regular graphs.
+# Safety valve for the least-placement search on near-regular graphs and
+# m-tables.
 _CANONICAL_PARTIAL_CAP = 200_000
 
 
@@ -485,28 +486,24 @@ def chordless_cycles(G: Diagram, affine: bool = False) -> tuple[ChordlessCycle, 
 # Canonical forms and mutation classes
 
 
-def _canonical_placement(G: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Vertex placement minimizing the column-wise adjacency encoding.
+def _least_placements(into) -> tuple[list[tuple[int, ...]] | None, tuple]:
+    """Every placement of 1..n minimizing the column-wise encoding of `into`.
 
-    The encoding lists column q of the placed adjacency matrix (entries above
-    the diagonal) for q = 1, 2, ..., so its lexicographic minimum is found
-    column by column.  Exact search: placements are extended one position at
-    a time, keeping every partial placement whose encoding prefix is minimal.
-    The partials stay in lexicographic order, so the placement returned is the
-    lexicographically least one among those with the minimal encoding.
-    Degenerate inputs with huge automorphism groups are cut off by a hard cap.
+    `into[v][u]` is the entry in row u, column v of a matrix on 1..n (row
+    and column 0 unused).  The encoding lists column q of the placed matrix
+    (entries above the diagonal) for q = 1, 2, ..., so its lexicographic
+    minimum is found column by column.  Exact search: placements are
+    extended one position at a time, keeping every partial placement whose
+    encoding prefix is minimal.  Returns the minimal placements, in
+    lexicographic order, and the minimal encoding; the placements are None
+    once more than _CANONICAL_PARTIAL_CAP partials tie, as on inputs with
+    huge automorphism groups.
     """
-    verts = list(range(1, G.n + 1))
-    # into[v][u]: the entry in row u, column v of the signed adjacency
-    # matrix, the weight of an arrow u -> v, negated for an arrow v -> u.
-    into = [[0] * (G.n + 1) for _ in range(G.n + 1)]
-    for i, j, w in G.edges:
-        into[j][i] = w
-        into[i][j] = -w
+    verts = range(1, len(into))
     partials: list[tuple[int, ...]] = [()]
-    encoding: list[int] = []
-    for q in range(G.n):
-        best_col: tuple[int, ...] | None = None
+    encoding: list = []
+    for _ in verts:
+        best_col: tuple | None = None
         extended: list[tuple[int, ...]] = []
         for placement in partials:
             used = set(placement)
@@ -523,8 +520,25 @@ def _canonical_placement(G: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
         encoding.extend(best_col)
         partials = extended
         if len(partials) > _CANONICAL_PARTIAL_CAP:
-            raise DiagramError("canonical search blew up: diagram too symmetric")
-    return partials[0], tuple(encoding)
+            return None, tuple(encoding)
+    return partials, tuple(encoding)
+
+
+def _canonical_placement(G: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lexicographically least vertex placement minimizing the
+    column-wise encoding of the signed adjacency matrix, and that encoding.
+    Degenerate inputs with huge automorphism groups are cut off by a hard
+    cap."""
+    # into[v][u]: the entry in row u, column v of the signed adjacency
+    # matrix, the weight of an arrow u -> v, negated for an arrow v -> u.
+    into = [[0] * (G.n + 1) for _ in range(G.n + 1)]
+    for i, j, w in G.edges:
+        into[j][i] = w
+        into[i][j] = -w
+    placements, encoding = _least_placements(into)
+    if placements is None:
+        raise DiagramError("canonical search blew up: diagram too symmetric")
+    return placements[0], encoding
 
 
 def _canonical_key(G: Diagram) -> tuple[bytes, tuple[int, ...]]:

@@ -172,10 +172,13 @@ def cyclic_reduce(letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
 
 
 def least_cyclic_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of the cyclic core of `letters`.  Only a rotation
+    that starts with the core's least letter can be least."""
     core, _ = cyclic_reduce(letters)
     if not core:
         return ()
-    return min(core[i:] + core[:i] for i in range(len(core)))
+    low = min(core)
+    return min(core[i:] + core[:i] for i, x in enumerate(core) if x == low)
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +372,13 @@ def _braid_relators(G: Diagram, affine: bool = False) -> list[Relator]:
 
 
 def _presentation(G: Diagram, tag: str, mode: str, relators,
-                  affine: bool = False) -> Presentation:
+                  m_table) -> Presentation:
     """The presentation of G on its sorted relators, labelled tag[n|edges]."""
     return Presentation(
         n_generators=G.n,
         relators=tuple(sorted(relators, key=Relator.sort_key)),
         mode=mode,
-        m_table=_m_table(G, affine),
+        m_table=m_table,
         label=f"{tag}[{G.n}|{_diagram_tag(G)}]",
     )
 
@@ -397,7 +400,7 @@ def artin_presentation(G: Diagram, minimal_t3: bool = False) -> Presentation:
                 if minimal_t3:
                     break
     tag = "artin-min" if minimal_t3 else "artin"
-    return _presentation(G, tag, "artin", relators)
+    return _presentation(G, tag, "artin", relators, _m_table(G, False))
 
 
 def coxeter_presentation(G: Diagram) -> Presentation:
@@ -408,11 +411,11 @@ def coxeter_presentation(G: Diagram) -> Presentation:
     entering i_a, for cycles containing weight-2 edges.
     """
     cycles = _finite_cycles(G)
+    m_table = _m_table(G, False)
     relators = _involution_relators(G.n)
     for i in range(1, G.n + 1):
         for j in range(i + 1, G.n + 1):
-            m = int(m_value(G, i, j))
-            word = Word((i, j) * m)
+            word = Word((i, j) * m_table[i - 1][j - 1])
             relators.append(Relator(word, "R2", f"({i},{j})"))
     for cycle in cycles:
         d = len(cycle.vertices)
@@ -423,7 +426,7 @@ def coxeter_presentation(G: Diagram) -> Presentation:
             prov = (f"r({cycle.vertices[a]},{cycle.vertices[(a + 1) % d]})^{k};"
                     f"cycle={cycle.vertices}")
             relators.append(Relator(word, "R3a" if all_one else "R3b", prov))
-    return _presentation(G, "coxeter", "coxeter", relators)
+    return _presentation(G, "coxeter", "coxeter", relators, m_table)
 
 
 def coxeter_quotient(P: Presentation) -> Presentation:
@@ -600,4 +603,5 @@ def affine_artin_presentation(
                     Word(mapped), "T4",
                     f"row{pattern.row}.{idx}@{image}",
                 ))
-    return _presentation(G, "affine-artin", "artin", relators, affine=True)
+    return _presentation(G, "affine-artin", "artin", relators,
+                         _m_table(G, True))

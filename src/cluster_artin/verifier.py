@@ -33,7 +33,12 @@ in it, always advancing the one with the fewest cosets defined, so no loser
 grows past the winner by more than a row.  No state outlives a run: the
 census passes one memo to every `group_order` call, and `verify` one to
 every `verify_mutation_invariance` and `fuzz_soundness` call, so each
-distinct order, quotient table and move list is computed once per run.
+distinct quotient table and move list is computed once per run, and each
+order once per run up to relabelling of the generators.  Relabelling them,
+rotating or inverting a relator, and reordering or repeating relators
+leave the presented group the same, so the census memo keeps an order
+under a form that those changes leave alone as well as under the exact
+relator letters.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from math import prod
 
-from .diagram import Diagram
+from .diagram import Diagram, _least_placements
 from .mapping import GroupMap, Presenter, compose, phi, psi, transport
 from .presentation import (
     Presentation,
@@ -52,6 +57,7 @@ from .presentation import (
     artin_presentation,
     coxeter_quotient,
     free_reduce,
+    least_cyclic_rotation,
     splice,
     t_relator,
     t3_qualifies,
@@ -523,11 +529,12 @@ def group_order(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
     for an infinite group, or that the full table capped.
 
     The sub-presentations are carried as (generator count, m_table,
-    relator letters).  `memo` maps each presentation decided so far, keyed
-    by `coset_cap` and that triple, to its order; the descent is
-    deterministic in that key, so a caller deciding many related
-    presentations (a class census) and passing one memo to every call
-    decides each distinct one once.
+    relator letters).  `memo` maps each order decided so far, keyed by
+    `coset_cap` with that triple and again with its `_relabelled_form`, so
+    a caller deciding many related presentations (a class census) and
+    passing one memo to every call decides each once up to relabelling of
+    its generators.  None is never kept: an undecided presentation, and
+    every relabelled twin of it, is descended again when met again.
     """
     if memo is None:
         memo = {}
@@ -537,11 +544,75 @@ def group_order(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
 
 def _order(n: int, m_table, relators, coset_cap: int,
            memo: dict) -> int | None:
-    """`group_order` of the presentation (n, m_table, relators)."""
-    key = (coset_cap, n, m_table, relators)
-    if key not in memo:
-        memo[key] = _descend(n, m_table, relators, coset_cap, memo)
-    return memo[key]
+    """`group_order` of the presentation (n, m_table, relators).
+
+    A decided order is kept under the exact key and under the presentation's
+    `_relabelled_form`, so a relabelled twin is looked up rather than
+    descended.  None is kept under neither: a presentation that capped, and
+    any twin of it, runs its own descent each time it is met."""
+    exact = (coset_cap, n, m_table, relators)
+    if exact in memo:
+        return memo[exact]
+    form = _relabelled_form(n, m_table, relators)
+    keys = [exact] if form is None else [exact, (coset_cap, form)]
+    order = memo.get(keys[-1])
+    if order is None:
+        order = _descend(n, m_table, relators, coset_cap, memo)
+    if order is not None:
+        for key in keys:
+            memo[key] = order
+    return order
+
+
+def _relabelled_form(n: int, m_table, relators):
+    """A form of (n, m_table, relators) that is the same exactly for the
+    presentations one relabelling of the generators turns into each other,
+    up to the order, repetition, rotation and inversion of relators; None
+    when too many placements tie to search.
+
+    The generators are placed by the least column-wise encoding of the
+    m-table (`diagram._least_placements`, as for diagram canonical forms),
+    and the placements that tie are told apart by the least sorted set of
+    placed relators, each written as the least cyclic rotation of itself or
+    its inverse.  Each of those changes leaves the presented group the same
+    up to isomorphism, so equal forms have equal orders.
+    """
+    # Negated, so that the least encoding places generators joined by long
+    # braids first, and few partial placements tie on the commuting pairs.
+    into = [()] + [(0, *(-m for m in column)) for column in zip(*m_table)]
+    placements, encoding = _least_placements(into)
+    if placements is None:
+        return None
+    # Involutions and braid words (s_i s_j)^k have their written form
+    # directly: (-p, -p), and (-max(p, q), -min(p, q))^k for the positions
+    # p, q of their generators.
+    involutions, braids, words = [], [], []
+    for r in relators:
+        if len(r) == 2 and r[0] == r[1]:
+            involutions.append(abs(r[0]))
+        elif (len(r) > 1 and 0 < r[0] != r[1] > 0
+              and r == r[:2] * (len(r) // 2)):
+            braids.append((r[0], r[1], len(r) // 2))
+        else:
+            words.append(r)
+    least = None
+    for placement in placements:
+        label = {}
+        for position, g in enumerate(placement, 1):
+            label[g], label[-g] = position, -position
+        placed = {(-label[g],) * 2 for g in involutions}
+        for i, j, k in braids:
+            p, q = label[i], label[j]
+            placed.add((-p, -q) * k if p > q else (-q, -p) * k)
+        for r in words:
+            word = tuple(map(label.__getitem__, r))
+            inverse = tuple(-x for x in reversed(word))
+            placed.add(min(least_cyclic_rotation(word),
+                           least_cyclic_rotation(inverse)))
+        placed = tuple(sorted(placed))
+        if least is None or placed < least:
+            least = placed
+    return n, encoding, least
 
 
 def _descend(n: int, m_table, relators, coset_cap: int,

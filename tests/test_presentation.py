@@ -24,6 +24,7 @@ from cluster_artin import (
 )
 from cluster_artin.presentation import (
     INFINITE_M,
+    cyclic_reduce,
     free_reduce,
     least_cyclic_rotation,
     splice,
@@ -99,6 +100,10 @@ class TestWords:
         core = least_cyclic_rotation(w)
         if len(core) == len(w):
             assert rotations == {core}
+        # the least of every rotation of the cyclic core
+        reduced = cyclic_reduce(w)[0]
+        assert core == min(reduced[i:] + reduced[:i]
+                           for i in range(len(reduced)))
 
 
 class TestMValue:

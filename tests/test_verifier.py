@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from heapq import heappop, heappush
+from itertools import permutations
 from math import factorial, prod
 
 import pytest
@@ -34,6 +35,7 @@ from cluster_artin import (
     verify_mutation_invariance,
     word_trivial_in_coxeter,
 )
+from cluster_artin.presentation import least_cyclic_rotation
 from cluster_artin.verifier import (
     DEFAULT_BUDGET,
     DEFAULT_COSET_CAP,
@@ -44,6 +46,8 @@ from cluster_artin.verifier import (
     _descent_candidates,
     _enumerate,
     _order_lower_bound,
+    _relabelled_form,
+    _without_generator,
 )
 
 from conftest import (
@@ -627,24 +631,68 @@ class TestGroupOrderMemo:
         for P in census_presentations(DESCENT_CLASSES[name]):
             assert group_order(P, memo=memo) == group_order(P), P.label
 
-    def test_a6_census_runs_88_stabilizer_chains(self, monkeypatch):
-        # Without the memo the same census runs 294 chains.
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """The arguments of every call to verifier.<name>, as they happen."""
         import cluster_artin.verifier as verifier_module
 
         calls = []
-        lower_bound = verifier_module._order_lower_bound
+        function = getattr(verifier_module, name)
 
-        def counting_lower_bound(gens, target):
-            calls.append(target)
-            return lower_bound(gens, target)
+        def counting(*args):
+            calls.append(args)
+            return function(*args)
 
-        monkeypatch.setattr(verifier_module, "_order_lower_bound",
-                            counting_lower_bound)
+        monkeypatch.setattr(verifier_module, name, counting)
+        return calls
+
+    def test_a6_census_runs_16_stabilizer_chains(self, monkeypatch):
+        # Without the memo the same census runs 294 chains, and with a memo
+        # keyed by the exact relator letters 88.
+        calls = self.count_calls(monkeypatch, "_order_lower_bound")
         memo = {}
         orders = {group_order(P, memo=memo)
                   for P in census_presentations(path_diagram(6))}
         assert orders == {5040}
-        assert len(calls) == 88
+        assert len(calls) == 16
+
+    def test_e7_census_runs_96_descents(self, monkeypatch):
+        # Keyed by the exact relator letters the same census runs 640.
+        presentations = census_presentations(
+            Diagram.from_json(load_fixture("e7.json")))
+        calls = self.count_calls(monkeypatch, "_descend")
+        memo = {}
+        orders = [group_order(P, memo=memo) for P in presentations]
+        assert len(orders) == 416
+        assert set(orders) == {WEYL_BY_DEGREES["E7"]}
+        assert len(calls) == 96
+
+    def test_a_relabelled_twin_is_looked_up(self, monkeypatch):
+        P = coxeter_presentation(DYNKIN["A3"])
+        # A3 with its middle vertex numbered 1.
+        twin = coxeter_presentation(Diagram(3, ((2, 1, 1), (1, 3, 1))))
+        assert P.relators != twin.relators
+        memo = {}
+        assert group_order(P, memo=memo) == 24
+        calls = self.count_calls(monkeypatch, "_descend")
+        assert group_order(twin, memo=memo) == 24
+        assert calls == []
+
+    def test_an_undecided_order_is_retried_not_reused(self, monkeypatch):
+        P = coxeter_presentation(DYNKIN["A3"])
+        twin = coxeter_presentation(Diagram(3, ((2, 1, 1), (1, 3, 1))))
+        memo = {}
+        calls = self.count_calls(monkeypatch, "_descend")
+        for Q in (P, twin, P):
+            calls.clear()
+            assert group_order(Q, coset_cap=2, memo=memo) is None
+            assert calls and calls[0][0] == 3
+        assert None not in memo.values()
+        # Nothing capped is kept, so the full cap decides both afresh.
+        assert group_order(twin, memo=memo) == 24
+        calls.clear()
+        assert group_order(P, memo=memo) == 24
+        assert calls == []
 
     def test_the_cap_is_part_of_the_key(self):
         P = coxeter_presentation(DYNKIN["A3"])
@@ -659,6 +707,172 @@ class TestGroupOrderMemo:
         entries = len(memo)
         assert group_order(replace(P, label="other"), memo=memo) == 24
         assert len(memo) == entries
+
+
+def triple(P: Presentation):
+    """(generator count, m-table, relator letters), as the descent sees P."""
+    return P.n_generators, P.m_table, tuple(r.word.letters for r in P.relators)
+
+
+def inverse_letters(w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in reversed(w))
+
+
+def relabelled(n, m_table, relators, image):
+    """(m_table, relators) with generator g renamed image[g - 1]."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            m[image[i] - 1][image[j] - 1] = m_table[i][j]
+    relators = tuple(tuple(image[x - 1] if x > 0 else -image[-x - 1]
+                           for x in r) for r in relators)
+    return tuple(map(tuple, m)), relators
+
+
+def written_forms(relators) -> set:
+    """Each relator as the least cyclic rotation of itself or its inverse."""
+    return {min(least_cyclic_rotation(r),
+                least_cyclic_rotation(inverse_letters(r))) for r in relators}
+
+
+def disguised(rng: random.Random, n, m_table, relators):
+    """The presentation under a random relabelling of its generators, with
+    every relator rotated and perhaps inverted, some repeated, and all
+    shuffled."""
+    image = list(range(1, n + 1))
+    rng.shuffle(image)
+    m_table, relators = relabelled(n, m_table, relators, image)
+    out = []
+    for r in relators:
+        k = rng.randrange(len(r))
+        r = r[k:] + r[:k]
+        out.append(inverse_letters(r) if rng.random() < 0.5 else r)
+    out += rng.sample(out, len(out) // 3)
+    rng.shuffle(out)
+    return n, m_table, tuple(out)
+
+
+def same_up_to_relabelling(x, y) -> bool:
+    """Brute force: some relabelling carries x's m-table and written
+    relators onto y's."""
+    (n, m_x, r_x), (n_y, m_y, r_y) = x, y
+    if n != n_y:
+        return False
+    target = written_forms(r_y)
+    for image in permutations(range(1, n + 1)):
+        m, r = relabelled(n, m_x, r_x, image)
+        if m == m_y and written_forms(r) == target:
+            return True
+    return False
+
+
+def form_subjects() -> list:
+    """Presentations whose forms are compared: every TC_PRESENTATIONS entry,
+    the Coxeter presentations of class members on up to 4 generators, those
+    again without their cycle relators (the same m-tables, other relators),
+    and the sub-presentations the descent meets on all of them."""
+    presentations = [build() for build in TC_PRESENTATIONS.values()]
+    for name in ("A3", "A4", "B3", "D4", "F4", "B4"):
+        for P in census_presentations(DESCENT_CLASSES[name]):
+            presentations += [P, replace(P, relators=tuple(
+                r for r in P.relators if r.family in ("R1", "R2")))]
+    subjects = []
+    for P in presentations:
+        subjects.append(triple(P))
+        subjects += [_without_generator(*triple(P), v)
+                     for v in range(1, P.n_generators + 1)]
+    return subjects
+
+
+class TestRelabelledForm:
+    SUBJECTS = {
+        **{name: (lambda name=name: triple(TC_PRESENTATIONS[name]()))
+           for name in TC_PRESENTATIONS},
+        **{f"census-{name}-{i}": (lambda D=D: triple(coxeter_presentation(D)))
+           for name in ("A4", "D4", "B3-triangle", "F4")
+           for i, D in enumerate(mutation_class(DESCENT_CLASSES[name]))},
+    }
+
+    @pytest.mark.parametrize("name", SUBJECTS)
+    def test_invariant_under_relabelling_and_rewriting(self, name):
+        x = self.SUBJECTS[name]()
+        # The relators are cyclically reduced, so every rotation is a
+        # reduced word.
+        assert all(least_cyclic_rotation(r) in
+                   {r[k:] + r[:k] for k in range(len(r))} for r in x[2])
+        form = _relabelled_form(*x)
+        assert form is not None
+        rng = random.Random(f"relabelled-form:{name}")
+        for _ in range(5):
+            assert _relabelled_form(*disguised(rng, *x)) == form
+
+    def test_equal_forms_exactly_when_some_relabelling_matches(self):
+        subjects = form_subjects()
+        forms = [_relabelled_form(*x) for x in subjects]
+        assert None not in forms
+        # Each class of equal forms is one presentation up to relabelling,
+        # and different forms are different presentations.
+        first = {}
+        for x, form in zip(subjects, forms):
+            first.setdefault(form, x)
+            assert same_up_to_relabelling(x, first[form]), x
+        distinct = list(first.values())
+        for a in range(len(distinct)):
+            for b in range(a + 1, len(distinct)):
+                assert not same_up_to_relabelling(distinct[a], distinct[b])
+        assert len(subjects) > len(distinct) > 20
+
+    def test_different_presentations_get_different_forms(self):
+        cycle_3 = coxeter_presentation(
+            Diagram(3, ((1, 2, 1), (2, 3, 1), (3, 1, 1))))
+        without_cycle_relators = replace(cycle_3, relators=tuple(
+            r for r in cycle_3.relators if r.family != "R3a"))
+        presentations = {
+            "A3": coxeter_presentation(DYNKIN["A3"]),
+            "A1xA2": coxeter_presentation(Diagram(3, ((2, 3, 1),))),
+            "oriented 3-cycle": cycle_3,
+            "3-cycle without (R3a)": without_cycle_relators,
+            "B3": coxeter_presentation(DYNKIN["B3"]),
+            "(2,2,1) triangle": coxeter_presentation(TRIANGLE_221),
+            # Equal m-tables, told apart by the relators alone.
+            "klein-four": TC_PRESENTATIONS["klein-four"](),
+            "collapse-to-two": TC_PRESENTATIONS["collapse-to-two"](),
+            "S3": small_presentation(2, (1, 1), (2, 2), (1, 2) * 3),
+        }
+        forms = {name: _relabelled_form(*triple(P))
+                 for name, P in presentations.items()}
+        assert None not in forms.values()
+        assert len(set(forms.values())) == len(forms)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_all_commuting_m_tables(self, n):
+        # Every placement ties on the m-table: n! of them.
+        P = coxeter_presentation(Diagram(n, ()))
+        x = triple(P)
+        form = _relabelled_form(*x)
+        assert form is not None
+        assert _relabelled_form(*disguised(random.Random(n), *x)) == form
+        assert group_order(P, memo={}) == 2 ** n
+
+    @pytest.mark.parametrize("name", TC_PRESENTATIONS)
+    def test_memo_orders_match_the_full_table(self, name):
+        P = TC_PRESENTATIONS[name]()
+        memo = {}
+        assert group_order(P, memo=memo) == todd_coxeter(P).order
+        assert (DEFAULT_COSET_CAP, _relabelled_form(*triple(P))) in memo
+
+    def test_too_many_ties_key_by_the_exact_letters(self, monkeypatch):
+        import cluster_artin.diagram as diagram_module
+
+        monkeypatch.setattr(diagram_module, "_CANONICAL_PARTIAL_CAP", 5)
+        P = coxeter_presentation(Diagram(4, ()))
+        assert _relabelled_form(*triple(P)) is None
+        memo = {}
+        assert group_order(P, memo=memo) == 16
+        # Exact keys are (coset cap, generator count, m-table, letters) and
+        # form keys (coset cap, form).  Past 3 generators 5 placements tie.
+        assert (DEFAULT_COSET_CAP, *triple(P)) in memo
+        assert max(key[1][0] for key in memo if len(key) == 2) == 2
 
 
 class TestVerifyMemo:
