@@ -21,6 +21,7 @@ import sys
 import tempfile
 
 from .diagram import (
+    DEFAULT_CLASS_BUDGET,
     BudgetExceededError,
     Diagram,
     DiagramError,
@@ -39,6 +40,8 @@ from .presentation import (
     load_t4_patterns,
 )
 from .verifier import (
+    DEFAULT_BUDGET,
+    DEFAULT_COSET_CAP,
     EXIT_CODES,
     FAIL,
     INCONCLUSIVE,
@@ -134,19 +137,13 @@ def cmd_mutate(args) -> int:
     G = _load_diagram(args.input)
     for k in args.vertices:
         G = mutate_diagram(G, k)
-    if args.format == "dot":
-        sys.stdout.write(G.to_dot())
-    else:
-        _emit(G.to_json(), "json")
+    _emit(G.to_json(), args.format, lambda _: G.to_dot())
     return 0
 
 
 def cmd_opposite(args) -> int:
     G = opposite(_load_diagram(args.input))
-    if args.format == "dot":
-        sys.stdout.write(G.to_dot())
-    else:
-        _emit(G.to_json(), "json")
+    _emit(G.to_json(), args.format, lambda _: G.to_dot())
     return 0
 
 
@@ -243,14 +240,11 @@ def _verify_map_fixture(args, obj: dict) -> int:
         if key not in obj:
             raise MappingError(f'map fixture needs "{key}"')
     G = Diagram.from_json(obj["diagram"])
-    k = obj["k"]
-    if type(k) is not int:
-        raise MappingError(f'"k" must be an integer, got {k!r}')
     label = obj.get("label", "fixture-map")
     if not isinstance(label, str):
         raise MappingError(f'"label" must be a string, got {label!r}')
     presenter = _presenter(args)
-    source = presenter(mutate_diagram(G, k))
+    source = presenter(mutate_diagram(G, obj["k"]))
     target = presenter(G)
     if not isinstance(obj["images"], list):
         raise MappingError('"images" must be a list of words')
@@ -383,12 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("finite", "affine"), default="finite")
     p.add_argument("--minimal-t3", action="store_true")
     p.add_argument("--patterns", help="(T4) pattern library JSON (affine mode)")
-    p.add_argument("--budget-nodes", type=_POSITIVE_INT, default=1_000_000,
+    p.add_argument("--budget-nodes", type=_POSITIVE_INT,
+                   default=DEFAULT_BUDGET.max_nodes,
                    help="insertion attempts per word search")
-    p.add_argument("--budget-len", type=_NON_NEGATIVE_INT, default=16,
+    p.add_argument("--budget-len", type=_NON_NEGATIVE_INT,
+                   default=DEFAULT_BUDGET.len_slack,
                    help="extra letters allowed beyond each start word")
-    p.add_argument("--coset-cap", type=_POSITIVE_INT, default=1_000_000)
-    p.add_argument("--cap", type=_POSITIVE_INT, default=20_000,
+    p.add_argument("--coset-cap", type=_POSITIVE_INT, default=DEFAULT_COSET_CAP)
+    p.add_argument("--cap", type=_POSITIVE_INT, default=DEFAULT_CLASS_BUDGET,
                    help="mutation class budget for --class")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for --fuzz word generation")
@@ -398,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate",
                        help="mutation class census with Coxeter orders")
     common(p)
-    p.add_argument("--cap", type=_POSITIVE_INT, default=20_000)
-    p.add_argument("--coset-cap", type=_POSITIVE_INT, default=1_000_000)
+    p.add_argument("--cap", type=_POSITIVE_INT, default=DEFAULT_CLASS_BUDGET)
+    p.add_argument("--coset-cap", type=_POSITIVE_INT, default=DEFAULT_COSET_CAP)
 
     return parser
 

@@ -48,13 +48,6 @@ _CANONICAL_PARTIAL_CAP = 200_000
 # Exchange matrices
 
 
-def _json_int(value, what: str) -> int:
-    """An integer from parsed JSON; floats, strings and booleans are errors."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DiagramError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _find_symmetrizer(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Positive integer diagonal d with d_i B_ij = -d_j B_ji, or raise."""
     n = len(rows)
@@ -98,12 +91,15 @@ def _find_symmetrizer(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """Skew-symmetrizable integer matrix B with zero diagonal."""
+    """Skew-symmetrizable matrix B of ints (never bool, float or str), zero diagonal."""
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        rows = tuple(map(tuple, self.entries))
+        bad = [x for row in rows for x in row if type(x) is not int]
+        if bad:
+            raise DiagramError(f"matrix entry must be an integer, got {bad[0]!r}")
         object.__setattr__(self, "entries", rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
@@ -137,8 +133,7 @@ class ExchangeMatrix:
         if not isinstance(rows, list) or not all(
                 isinstance(row, list) for row in rows):
             raise DiagramError('matrix JSON needs "B": a list of integer rows')
-        return ExchangeMatrix(tuple(
-            tuple(_json_int(x, "matrix entry") for x in row) for row in rows))
+        return ExchangeMatrix(rows)
 
 
 def is_two_finite(B: ExchangeMatrix) -> bool:
@@ -153,14 +148,19 @@ def is_two_finite(B: ExchangeMatrix) -> bool:
     )
 
 
+def _check_vertex(k, n: int) -> None:
+    """Raise unless k is an int vertex in 1..n."""
+    if type(k) is not int or not 1 <= k <= n:
+        raise DiagramError(f"vertex {k!r} out of range 1..{n}")
+
+
 def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation at vertex k (1-based).
 
     Entries in row or column k flip sign; every other entry becomes
     B_ij + (|B_ik| B_kj + B_ik |B_kj|) / 2.
     """
-    if not 1 <= k <= B.n:
-        raise DiagramError(f"vertex {k} out of range 1..{B.n}")
+    _check_vertex(k, B.n)
     kk = k - 1
     old = B.entries
     new = []
@@ -185,27 +185,34 @@ Edge = tuple[int, int, int]  # (source, target, weight)
 
 @dataclass(frozen=True)
 class Diagram:
-    """Edge-weighted oriented graph with at most one edge per vertex pair."""
+    """Edge-weighted oriented graph with at most one edge per vertex pair;
+    `n` and every edge entry are ints, never bool, float or str."""
 
     n: int
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        norm = tuple(sorted((int(i), int(j), int(w)) for i, j, w in self.edges))
-        object.__setattr__(self, "edges", norm)
-        seen_pairs = set()
-        for i, j, w in norm:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise DiagramError(f"edge ({i},{j}) out of range 1..{self.n}")
+        n = self.n
+        if type(n) is not int or n < 0:
+            raise DiagramError(
+                f"vertex count must be a non-negative integer, got {n!r}")
+        out: dict[tuple[int, int], int] = {}
+        for i, j, w in self.edges:
+            if not type(i) is type(j) is type(w) is int:
+                raise DiagramError(f"edge {(i, j, w)!r} must hold three integers")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise DiagramError(f"edge ({i},{j}) out of range 1..{n}")
             if i == j:
                 raise DiagramError(f"self-loop at vertex {i}")
             if w < 1:
                 raise DiagramError(f"edge ({i},{j}) has non-positive weight {w}")
-            pair = (min(i, j), max(i, j))
-            if pair in seen_pairs:
-                raise DiagramError(f"multiple edges between {pair[0]} and {pair[1]}")
-            seen_pairs.add(pair)
-        object.__setattr__(self, "_out", {(i, j): w for i, j, w in norm})
+            if (i, j) in out or (j, i) in out:
+                raise DiagramError(
+                    f"multiple edges between {min(i, j)} and {max(i, j)}")
+            out[i, j] = w
+        object.__setattr__(self, "edges", tuple(
+            (i, j, w) for (i, j), w in sorted(out.items())))
+        object.__setattr__(self, "_out", out)
 
     def arrow(self, i: int, j: int) -> int:
         """Weight of the arrow i -> j, or 0 when there is none."""
@@ -256,7 +263,8 @@ class Diagram:
     def from_json(obj: dict) -> "Diagram":
         """Accept either diagram JSON {"n", "edges"} or matrix JSON {"B"}.
 
-        Malformed input raises DiagramError; nothing is coerced.
+        Only the shape is checked here; the constructors reject bad values,
+        so malformed input raises DiagramError and nothing is coerced.
         """
         if not isinstance(obj, dict):
             raise DiagramError(
@@ -270,12 +278,7 @@ class Diagram:
                 isinstance(e, list) and len(e) == 3 for e in edges):
             raise DiagramError(
                 '"edges" must be a list of [source, target, weight] triples')
-        n = _json_int(obj["n"], '"n"')
-        if n < 0:
-            raise DiagramError(f'"n" must be non-negative, got {n}')
-        return Diagram(
-            n,
-            tuple(tuple(_json_int(x, "edge entry") for x in e) for e in edges))
+        return Diagram(obj["n"], tuple(map(tuple, edges)))
 
     def to_dot(self) -> str:
         lines = ["digraph diagram {"]
@@ -334,8 +337,7 @@ def mutate_diagram(G: Diagram, k: int) -> Diagram:
     with weight 0 meaning edge removal.  Agrees with
     diagram_from_matrix(mutate_matrix(B, k)) whenever G came from a matrix.
     """
-    if not 1 <= k <= G.n:
-        raise DiagramError(f"vertex {k} out of range 1..{G.n}")
+    _check_vertex(k, G.n)
     pair_edges: dict[frozenset[int], Edge] = {
         frozenset((i, j)): (i, j, w) for i, j, w in G.edges
     }

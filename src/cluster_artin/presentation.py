@@ -88,15 +88,17 @@ def splice(word: tuple[int, ...], pos: int, ins: tuple[int, ...]) -> tuple[int, 
 
 @dataclass(frozen=True)
 class Word:
-    """A freely reduced word in signed generator letters."""
+    """A freely reduced word in signed generator letters, each a non-zero int
+    (checked before reduction, so a bad letter cannot cancel away)."""
 
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        reduced = free_reduce(int(x) for x in self.letters)
-        if any(x == 0 for x in reduced):
-            raise PresentationError("letter 0 is not a generator")
-        object.__setattr__(self, "letters", reduced)
+        letters = tuple(self.letters)
+        for x in letters:
+            if type(x) is not int or not x:
+                raise PresentationError(f"letter {x!r} is not a generator")
+        object.__setattr__(self, "letters", free_reduce(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -148,14 +150,13 @@ class Word:
 
     @staticmethod
     def from_text(text: str) -> "Word":
+        """The inverse of to_text: tokens g<digits> and G<digits>, ASCII only."""
         letters = []
         for tok in text.split():
-            if tok[0] == "g":
-                letters.append(int(tok[1:]))
-            elif tok[0] == "G":
-                letters.append(-int(tok[1:]))
-            else:
+            digits = tok[1:]
+            if tok[0] not in "gG" or not (digits.isascii() and digits.isdigit()):
                 raise PresentationError(f"bad word token {tok!r}")
+            letters.append(int(digits) if tok[0] == "g" else -int(digits))
         return Word(tuple(letters))
 
 
@@ -277,9 +278,9 @@ def braid_relator_words(x: Word, y: Word, m: int, family: str, provenance: str) 
 
 def braid_relator(i: int, j: int, m: int) -> Relator:
     """(T2) relator of <s_i, s_j>^m = <s_j, s_i>^m; m must be finite."""
-    if m == INFINITE_M or m not in (2, 3, 4, 6):
+    if type(m) is not int or m not in (2, 3, 4, 6):
         raise PresentationError(f"no braid relator for m = {m}")
-    return braid_relator_words(Word((i,)), Word((j,)), int(m), "T2", f"({i},{j})")
+    return braid_relator_words(Word((i,)), Word((j,)), m, "T2", f"({i},{j})")
 
 
 def p_word(cycle: ChordlessCycle, a: int) -> Word:
@@ -337,11 +338,12 @@ def r_word(cycle: ChordlessCycle, a: int) -> Word:
 
 
 def _m_table(G: Diagram, affine: bool) -> tuple[tuple[float, ...], ...]:
-    return tuple(
-        tuple(0 if i == j else m_value(G, i, j, affine=affine)
-              for j in range(1, G.n + 1))
-        for i in range(1, G.n + 1)
-    )
+    """m_ij for every vertex pair, one m_value call per unordered pair."""
+    table = [[0] * G.n for _ in range(G.n)]
+    for i in range(G.n):
+        for j in range(i + 1, G.n):
+            table[i][j] = table[j][i] = m_value(G, i + 1, j + 1, affine)
+    return tuple(map(tuple, table))
 
 
 def _finite_cycles(G: Diagram) -> tuple[ChordlessCycle, ...]:
@@ -360,15 +362,12 @@ def _involution_relators(n: int) -> list[Relator]:
     return [Relator(Word((i, i)), "R1", f"({i})") for i in range(1, n + 1)]
 
 
-def _braid_relators(G: Diagram, affine: bool = False) -> list[Relator]:
-    """(T2) for every vertex pair; affine mode skips pairs with infinite m."""
-    relators = []
-    for i in range(1, G.n + 1):
-        for j in range(i + 1, G.n + 1):
-            m = m_value(G, i, j, affine=affine)
-            if m != INFINITE_M:
-                relators.append(braid_relator(i, j, int(m)))
-    return relators
+def _braid_relators(m_table) -> list[Relator]:
+    """(T2) for every vertex pair; pairs with infinite m (affine) get none."""
+    n = len(m_table)
+    return [braid_relator(i, j, m_table[i - 1][j - 1])
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            if m_table[i - 1][j - 1] != INFINITE_M]
 
 
 def _presentation(G: Diagram, tag: str, mode: str, relators,
@@ -392,7 +391,8 @@ def artin_presentation(G: Diagram, minimal_t3: bool = False) -> Presentation:
     assumed).
     """
     cycles = _finite_cycles(G)
-    relators = _braid_relators(G)
+    m_table = _m_table(G, False)
+    relators = _braid_relators(m_table)
     for cycle in cycles:
         for a in range(len(cycle.vertices)):
             if t3_qualifies(cycle, a):
@@ -400,7 +400,7 @@ def artin_presentation(G: Diagram, minimal_t3: bool = False) -> Presentation:
                 if minimal_t3:
                     break
     tag = "artin-min" if minimal_t3 else "artin"
-    return _presentation(G, tag, "artin", relators, _m_table(G, False))
+    return _presentation(G, tag, "artin", relators, m_table)
 
 
 def coxeter_presentation(G: Diagram) -> Presentation:
@@ -481,6 +481,11 @@ class T4Pattern:
     row: int
     diagram: Diagram
 
+    def __post_init__(self):
+        if type(self.row) is not int:  # type(): booleans are not rows
+            raise PresentationError(
+                f'(T4) pattern "row" must be an integer, got {self.row!r}')
+
     def to_json(self) -> dict:
         return {"row": self.row, "diagram": self.diagram.to_json()}
 
@@ -490,16 +495,11 @@ class T4Pattern:
         if not isinstance(obj, dict) or "row" not in obj or "diagram" not in obj:
             raise PresentationError(
                 f'a (T4) pattern needs "row" and "diagram", got {obj!r}')
-        row = obj["row"]
-        # type() rather than isinstance(): JSON booleans are not rows.
-        if type(row) is not int:
-            raise PresentationError(
-                f'(T4) pattern "row" must be an integer, got {row!r}')
         try:
             diagram = Diagram.from_json(obj["diagram"])
         except DiagramError as exc:
             raise PresentationError(f"(T4) pattern diagram: {exc}") from exc
-        return T4Pattern(row, diagram)
+        return T4Pattern(obj["row"], diagram)
 
 
 def load_t4_patterns(obj: dict) -> tuple[T4Pattern, ...]:
@@ -580,7 +580,8 @@ def affine_artin_presentation(
     (T3) relations of order m(l) on every oriented chordless cycle, and (T4)
     relators wherever a supplied pattern matches an induced subdiagram.
     """
-    relators = _braid_relators(G, affine=True)
+    m_table = _m_table(G, True)
+    relators = _braid_relators(m_table)
     for cycle in chordless_cycles(G, affine=True):
         if not cycle.oriented:
             continue
@@ -603,5 +604,4 @@ def affine_artin_presentation(
                     Word(mapped), "T4",
                     f"row{pattern.row}.{idx}@{image}",
                 ))
-    return _presentation(G, "affine-artin", "artin", relators,
-                         _m_table(G, True))
+    return _presentation(G, "affine-artin", "artin", relators, m_table)

@@ -18,7 +18,10 @@ from cluster_artin import (
     verifier,
 )
 from cluster_artin.cli import main
+from cluster_artin.diagram import DEFAULT_CLASS_BUDGET
 from cluster_artin.verifier import (
+    DEFAULT_BUDGET,
+    DEFAULT_COSET_CAP,
     FAIL,
     INCONCLUSIVE,
     PASS,
@@ -359,6 +362,16 @@ class TestNumericFlags:
         err = capsys.readouterr().err
         assert "error: argument --" in err and "must be >=" in err
 
+    def test_defaults_are_the_library_constants(self):
+        parser = cli.build_parser()
+        verify = parser.parse_args(["verify", "in.json", "-k", "1"])
+        enumerate_ = parser.parse_args(["enumerate", "in.json"])
+        for args in (verify, enumerate_):
+            assert args.coset_cap == DEFAULT_COSET_CAP
+            assert args.cap == DEFAULT_CLASS_BUDGET
+        assert verify.budget_nodes == DEFAULT_BUDGET.max_nodes
+        assert verify.budget_len == DEFAULT_BUDGET.len_slack
+
     def test_smallest_allowed_values_run(self, capsys):
         code, out = run(capsys, "verify", FIXTURES / "a2.json", "-k", 1,
                         "--budget-nodes", 1, "--budget-len", 0, "--fuzz", 0,
@@ -374,8 +387,11 @@ MALFORMED_DIAGRAMS = {
     "string-n": {"n": "x", "edges": []},
     "fractional-weight": {"n": 2, "edges": [[1, 2, 1.5]]},
     "boolean-weight": {"n": 2, "edges": [[1, 2, True]]},
+    "string-weight": {"n": 2, "edges": [[1, 2, "1"]]},
+    "fractional-n": {"n": 2.0, "edges": [[1, 2, 1]]},
     "negative-n": {"n": -1, "edges": []},
     "fractional-matrix-entry": {"B": [[0, 1.5], [-1, 0]]},
+    "boolean-matrix-entry": {"B": [[0, True], [-1, 0]]},
     "matrix-not-a-list": {"B": 3},
 }
 
@@ -397,6 +413,7 @@ MALFORMED_MAP_FIXTURES = {
     "string-k": map_fixture(k="x"),
     "fractional-k": map_fixture(k=1.5),
     "boolean-k": map_fixture(k=True),
+    "list-k": map_fixture(k=[2]),
     "k-out-of-range": map_fixture(k=4),
     "malformed-diagram": map_fixture(diagram={"n": 3}),
     "images-not-a-list": map_fixture(images=5),

@@ -30,6 +30,8 @@ from cluster_artin.presentation import (
     splice,
 )
 
+from cluster_artin import presentation as presentation_module
+
 from conftest import DYNKIN, FIXTURES, SQUARE, TRIANGLE_221
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
@@ -48,6 +50,10 @@ class TestWords:
     def test_conjugate(self):
         assert Word((2,)).conjugate(Word((1,))).letters == (1, 2, -1)
 
+    def test_letters_read_once_from_any_iterable(self):
+        assert Word(x for x in (1, 2, -2, 3)).letters == (1, 3)
+        assert Word([2, -1]).letters == (2, -1)
+
     def test_rejects_zero_letter(self):
         with pytest.raises(PresentationError):
             Word((0,))
@@ -56,6 +62,18 @@ class TestWords:
         w = Word((1, -2, 3))
         assert w.to_text() == "g1 G2 g3"
         assert Word.from_text(w.to_text()) == w
+
+    @pytest.mark.parametrize("text", (
+        "g-3", "g+3", "G-3", "g1_0", "g 1_0", "g\u0663", "G\uff13", "g\u00b2",
+        "g", "G", "g0", "x1", "g1 h2", "g 3",
+    ))
+    def test_text_rejects_all_but_ascii_digit_tokens(self, text):
+        with pytest.raises(PresentationError):
+            Word.from_text(text)
+
+    def test_text_reads_ascii_digits(self):
+        assert Word.from_text("g12 G3  g07").letters == (12, -3, 7)
+        assert Word.from_text("").letters == ()
 
     def test_json_roundtrip(self):
         w = Word((1, -2))
@@ -123,6 +141,45 @@ class TestMValue:
     def test_rejects_equal_vertices(self):
         with pytest.raises(PresentationError):
             m_value(DYNKIN["A2"], 1, 1)
+
+
+class TestMTable:
+    BUILDERS = {
+        "artin": artin_presentation,
+        "coxeter": coxeter_presentation,
+        "affine": affine_artin_presentation,
+    }
+
+    @pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS.keys())
+    @pytest.mark.parametrize("name", ("A4", "B3", "D4", "G2"))
+    def test_one_m_value_call_per_pair(self, monkeypatch, builder, name):
+        G = DYNKIN[name]
+        calls = []
+
+        def counted(D, i, j, affine=False):
+            calls.append(frozenset((i, j)))
+            return m_value(D, i, j, affine)
+
+        monkeypatch.setattr(presentation_module, "m_value", counted)
+        P = builder(G)
+        assert len(calls) == len(set(calls)) == G.n * (G.n - 1) // 2
+        assert P.m_table == tuple(
+            tuple(0 if i == j else m_value(G, i, j) for j in range(1, G.n + 1))
+            for i in range(1, G.n + 1))
+
+    @pytest.mark.parametrize("name", sorted(DYNKIN))
+    def test_t2_relators_one_per_pair_in_order(self, name):
+        G = DYNKIN[name]
+        t2 = [r for r in artin_presentation(G).relators if r.family == "T2"]
+        assert t2 == [braid_relator(i, j, m_value(G, i, j))
+                      for i in range(1, G.n + 1) for j in range(i + 1, G.n + 1)]
+
+    def test_affine_skips_infinite_pairs(self):
+        G = Diagram(3, ((1, 2, 4), (2, 3, 1)))
+        P = affine_artin_presentation(G)
+        assert P.m_table[0][1] == P.m_table[1][0] == INFINITE_M
+        assert [r.provenance for r in P.relators if r.family == "T2"] == [
+            "(1,3)", "(2,3)"]
 
 
 class TestBraidRelator:
