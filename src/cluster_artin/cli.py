@@ -43,8 +43,6 @@ from .verifier import (
     DEFAULT_BUDGET,
     DEFAULT_COSET_CAP,
     EXIT_CODES,
-    FAIL,
-    INCONCLUSIVE,
     PASS,
     SearchBudget,
     VerifierError,
@@ -52,6 +50,7 @@ from .verifier import (
     group_order,
     verify_homomorphism,
     verify_mutation_invariance,
+    worst,
 )
 
 
@@ -286,8 +285,7 @@ def cmd_verify(args) -> int:
     budget = _budget(args)
     # Targets with the same relators share one table and move list per run.
     memo: dict = {}
-    worst = PASS
-    rank = {PASS: 0, INCONCLUSIVE: 1, FAIL: 2}
+    overall = PASS
     # Rendered instances wait in the spool, not on stdout: "fuzz" comes
     # first in the JSON but is computed last, and an error mid-run must
     # leave stdout empty.
@@ -299,8 +297,7 @@ def cmd_verify(args) -> int:
                 report = verify_mutation_invariance(
                     D, k, budget, args.coset_cap, presenter, memo
                 )
-                if rank[report.status] > rank[worst]:
-                    worst = report.status
+                overall = worst((overall, report.status))
                 if args.format == "json":
                     spool.write(
                         separator + "    " + _nested_json(report.to_json(), 2))
@@ -326,13 +323,13 @@ def cmd_verify(args) -> int:
                 out.write("\n  ],\n")
             else:
                 out.write('  "results": [],\n')
-            out.write(f'  "status": {json.dumps(worst)}\n}}\n')
+            out.write(f'  "status": {json.dumps(overall)}\n}}\n')
         else:
             shutil.copyfileobj(spool, out)
-            out.write(f"overall: {worst}\n")
+            out.write(f"overall: {overall}\n")
             if fuzz is not None:
                 out.write(f"fuzz: {fuzz}\n")
-    return EXIT_CODES[worst]
+    return EXIT_CODES[overall]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -96,7 +96,11 @@ class ExchangeMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.entries))
+        try:
+            rows = tuple(map(tuple, self.entries))
+        except TypeError:
+            raise DiagramError(
+                f"matrix must be rows, got {self.entries!r}") from None
         bad = [x for row in rows for x in row if type(x) is not int]
         if bad:
             raise DiagramError(f"matrix entry must be an integer, got {bad[0]!r}")
@@ -130,8 +134,7 @@ class ExchangeMatrix:
     @staticmethod
     def from_json(obj: dict) -> "ExchangeMatrix":
         rows = obj.get("B") if isinstance(obj, dict) else None
-        if not isinstance(rows, list) or not all(
-                isinstance(row, list) for row in rows):
+        if not isinstance(rows, list):
             raise DiagramError('matrix JSON needs "B": a list of integer rows')
         return ExchangeMatrix(rows)
 
@@ -197,19 +200,25 @@ class Diagram:
             raise DiagramError(
                 f"vertex count must be a non-negative integer, got {n!r}")
         out: dict[tuple[int, int], int] = {}
-        for i, j, w in self.edges:
-            if not type(i) is type(j) is type(w) is int:
-                raise DiagramError(f"edge {(i, j, w)!r} must hold three integers")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise DiagramError(f"edge ({i},{j}) out of range 1..{n}")
-            if i == j:
-                raise DiagramError(f"self-loop at vertex {i}")
-            if w < 1:
-                raise DiagramError(f"edge ({i},{j}) has non-positive weight {w}")
-            if (i, j) in out or (j, i) in out:
-                raise DiagramError(
-                    f"multiple edges between {min(i, j)} and {max(i, j)}")
-            out[i, j] = w
+        try:  # a DiagramError is a ValueError, so it passes through first
+            for i, j, w in self.edges:
+                if not type(i) is type(j) is type(w) is int:
+                    raise DiagramError(f"edge {(i, j, w)!r} must hold three integers")
+                if not (1 <= i <= n and 1 <= j <= n):
+                    raise DiagramError(f"edge ({i},{j}) out of range 1..{n}")
+                if i == j:
+                    raise DiagramError(f"self-loop at vertex {i}")
+                if w < 1:
+                    raise DiagramError(f"edge ({i},{j}) has non-positive weight {w}")
+                if (i, j) in out or (j, i) in out:
+                    raise DiagramError(
+                        f"multiple edges between {min(i, j)} and {max(i, j)}")
+                out[i, j] = w
+        except DiagramError:
+            raise
+        except (TypeError, ValueError):
+            raise DiagramError(
+                f"edges must be triples, got {self.edges!r}") from None
         object.__setattr__(self, "edges", tuple(
             (i, j, w) for (i, j), w in sorted(out.items())))
         object.__setattr__(self, "_out", out)
@@ -263,8 +272,9 @@ class Diagram:
     def from_json(obj: dict) -> "Diagram":
         """Accept either diagram JSON {"n", "edges"} or matrix JSON {"B"}.
 
-        Only the shape is checked here; the constructors reject bad values,
-        so malformed input raises DiagramError and nothing is coerced.
+        Only the JSON containers are checked here; the constructors reject
+        a bad shape or value, so malformed input raises DiagramError and
+        nothing is coerced.
         """
         if not isinstance(obj, dict):
             raise DiagramError(
@@ -274,11 +284,10 @@ class Diagram:
         if "n" not in obj or "edges" not in obj:
             raise DiagramError('diagram JSON needs "n" and "edges" (or "B")')
         edges = obj["edges"]
-        if not isinstance(edges, list) or not all(
-                isinstance(e, list) and len(e) == 3 for e in edges):
+        if not isinstance(edges, list):
             raise DiagramError(
                 '"edges" must be a list of [source, target, weight] triples')
-        return Diagram(obj["n"], tuple(map(tuple, edges)))
+        return Diagram(obj["n"], edges)
 
     def to_dot(self) -> str:
         lines = ["digraph diagram {"]

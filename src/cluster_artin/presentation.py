@@ -94,7 +94,11 @@ class Word:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        letters = tuple(self.letters)
+        try:
+            letters = tuple(self.letters)
+        except TypeError:
+            raise PresentationError(
+                f"word must be letters, got {self.letters!r}") from None
         for x in letters:
             if type(x) is not int or not x:
                 raise PresentationError(f"letter {x!r} is not a generator")
@@ -485,6 +489,9 @@ class T4Pattern:
         if type(self.row) is not int:  # type(): booleans are not rows
             raise PresentationError(
                 f'(T4) pattern "row" must be an integer, got {self.row!r}')
+        if not isinstance(self.diagram, Diagram):
+            raise PresentationError("(T4) pattern diagram must be a "
+                                    f"Diagram, got {self.diagram!r}")
 
     def to_json(self) -> dict:
         return {"row": self.row, "diagram": self.diagram.to_json()}

@@ -1,22 +1,23 @@
 """Word triviality certification and homomorphism verification.
 
 Three layers, cheapest first.  The abelianization filter is a necessary
-condition computed from exponent sums.  Todd-Coxeter coset enumeration
-decides words exactly in the finite Coxeter quotient (the Artin presentation
-plus involution relators).  Each involution gets one self-inverse column, so
-its relator is enforced by the table itself rather than scanned.  A complete
-table over the trivial subgroup is the regular representation, so a word is
-trivial exactly when it fixes coset 0, and only that one walk is made.
-Finally a bounded best-first search over relator insertions either produces
-a replayable proof certificate of triviality in the Artin group itself or
-reports NotFound, which is always inconclusive and never a claim of
-nontriviality.  Each insertion is reduced by `splice`, which cancels only at
-the two seams.
+condition: the word's exponent sums must be an integer combination of the
+relators'.  Todd-Coxeter coset enumeration decides words exactly in the
+finite Coxeter quotient (the Artin presentation plus involution relators).
+Each involution gets one self-inverse column, so its relator is enforced by
+the table itself rather than scanned.  A complete table over the trivial
+subgroup is the regular representation, so a word is trivial exactly when
+it fixes coset 0, and only that one walk is made.  Finally a bounded
+best-first search over relator insertions either produces a replayable
+proof certificate of triviality in the Artin group itself or reports
+NotFound, which is always inconclusive and never a claim of nontriviality.
+Each insertion is reduced by `splice`, which cancels only at the two seams.
 
-Certificates are replayed by an independent code path before being reported;
-a replay failure, or in the soundness fuzz (which searches every word) a
-certificate for a quotient-rejected word, is raised as a hard error rather
-than recorded.
+`prove_trivial` replays each certificate by an independent code path before
+returning it; a replay failure, or in the soundness fuzz (which searches
+every word) a certificate for a word the quotient or the abelianization
+rejects, is raised as a hard error rather than recorded.  `worst` folds the
+verdict of each relator into those of its map, instance and run.
 
 Group orders (the `enumerate` census) come from `group_order`, a parabolic
 descent that needs no table of the whole group: the index of the subgroup
@@ -652,32 +653,32 @@ def _descend(n: int, m_table, relators, coset_cap: int,
 
 
 def abelianization_check(P: Presentation, w: Word) -> bool:
-    """Necessary condition for w = e: exponent sums vanish classwise.
+    """Necessary condition for w = e: the exponent-sum vector of w is an
+    integer combination of the relators' vectors (an involution s_i^2 gives
+    2 e_i), so w is trivial in the abelianization.
 
-    Generators joined by an odd braid length (m = 3) are conjugate, hence
-    identified in the abelianization.  In a Coxeter-mode presentation the
-    sums only need to vanish mod 2.
+    Integer elimination, one generator at a time: Euclid's algorithm on that
+    entry reduces the relator vectors to one pivot, which must divide the
+    entry of w and then clears it.
     """
     n = P.n_generators
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    v = w.exponent_sums(n)
+    if not any(v):
+        return True
+    rows = [e for r in P.relators if any(e := r.word.exponent_sums(n))]
     for i in range(n):
-        for j in range(i + 1, n):
-            if P.m_table[i][j] == 3:
-                parent[find(i)] = find(j)
-    sums: dict[int, int] = {}
-    for idx, s in enumerate(w.exponent_sums(n)):
-        root = find(idx)
-        sums[root] = sums.get(root, 0) + s
-    if P.mode == "coxeter":
-        return all(v % 2 == 0 for v in sums.values())
-    return all(v == 0 for v in sums.values())
+        pivot, rest = (0,) * n, []
+        for r in rows:
+            while r[i]:
+                q = pivot[i] // r[i]
+                pivot, r = r, [a - q * b for a, b in zip(pivot, r)]
+            rest.append(r)
+        q = v[i] // pivot[i] if pivot[i] else 0
+        v = [a - q * b for a, b in zip(v, pivot)]
+        if v[i]:
+            return False
+        rows = rest
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -772,23 +773,14 @@ def prove_trivial(
     Best-first over relator insertions: at every state each rotated relator
     form may be inserted at either end of the word or at any seam where at
     least one letter cancels.  States are deduplicated by their reduced word;
-    shorter words are expanded first.  Success yields a certificate; None
-    means the budget ran out and says nothing about nontriviality.  The
-    move list of P is kept in `memo`, the run's memo.
+    shorter words are expanded first.  Success yields a certificate, already
+    replayed against P (a failed replay raises); None means the budget ran
+    out and says nothing about nontriviality.  The move list of P is kept
+    in `memo`, the run's memo.
     """
     start = w.letters
-    if not start:
-        return ProofCertificate(w, ())
-    maxlen = budget.limit_for(w)
-    if len(start) > maxlen:
-        return None
-    moves = _moves_for(P, memo)
     # parent[word] = (previous word, position, (rid, rot, inverted))
     parent: dict[tuple[int, ...], tuple | None] = {start: None}
-    heap: list[tuple[int, int, tuple[int, ...]]] = [(len(start), 0, start)]
-    counter = 1
-    nodes = 0
-    max_nodes = budget.max_nodes
 
     def reconstruct(end: tuple[int, ...]) -> ProofCertificate:
         steps = []
@@ -796,7 +788,21 @@ def prove_trivial(
         while parent[cur] is not None:
             cur, pos, (rid, rot, inverted) = parent[cur]  # type: ignore[misc]
             steps.append(ProofStep(pos, rid, rot, inverted))
-        return ProofCertificate(w, tuple(reversed(steps)))
+        cert = ProofCertificate(w, tuple(reversed(steps)))
+        if not replay_certificate(P, cert):
+            raise VerifierError(f"certificate for {start} failed replay")
+        return cert
+
+    if not start:
+        return reconstruct(start)
+    maxlen = budget.limit_for(w)
+    if len(start) > maxlen:
+        return None
+    moves = _moves_for(P, memo)
+    heap: list[tuple[int, int, tuple[int, ...]]] = [(len(start), 0, start)]
+    counter = 1
+    nodes = 0
+    max_nodes = budget.max_nodes
 
     while heap:
         _, _, cur = heappop(heap)
@@ -871,6 +877,15 @@ def quotient_table(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
     return memo[key]
 
 
+PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
+EXIT_CODES = {PASS: 0, FAIL: 2, INCONCLUSIVE: 3}
+
+
+def worst(statuses) -> str:
+    """The most severe status, PASS < INCONCLUSIVE < FAIL; PASS for none."""
+    return max(statuses, key=(PASS, INCONCLUSIVE, FAIL).index, default=PASS)
+
+
 @dataclass(frozen=True)
 class RelatorCheck:
     relator: Relator
@@ -878,11 +893,18 @@ class RelatorCheck:
     coxeter_trivial: bool | None
     abelianization_ok: bool
     certificate: ProofCertificate | None
-    budget_limited: bool
 
     @property
-    def failed(self) -> bool:
-        return self.coxeter_trivial is False or not self.abelianization_ok
+    def status(self) -> str:
+        """FAIL when the quotient or the abelianization refutes the word, PASS
+        when a certificate proves it trivial, INCONCLUSIVE otherwise."""
+        if self.coxeter_trivial is False or not self.abelianization_ok:
+            return FAIL
+        return INCONCLUSIVE if self.certificate is None else PASS
+
+    @property
+    def budget_limited(self) -> bool:
+        return self.status == INCONCLUSIVE
 
     def to_json(self) -> dict:
         return {
@@ -896,18 +918,17 @@ class RelatorCheck:
         }
 
 
-PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
-EXIT_CODES = {PASS: 0, FAIL: 2, INCONCLUSIVE: 3}
-
-
 @dataclass(frozen=True)
 class HomReport:
     """Per-relator verification record for one generator map."""
 
     map_label: str
-    status: str
     checks: tuple[RelatorCheck, ...]
     coxeter_order: int | None
+
+    @property
+    def status(self) -> str:
+        return worst(c.status for c in self.checks)
 
     def to_json(self) -> dict:
         return {
@@ -916,35 +937,6 @@ class HomReport:
             "coxeter_order": self.coxeter_order,
             "relators": [c.to_json() for c in self.checks],
         }
-
-
-def _check_one(
-    target: Presentation,
-    table: CosetTable,
-    relator: Relator,
-    image: Word,
-    budget: SearchBudget,
-    memo: dict,
-) -> RelatorCheck:
-    ab = abelianization_check(target, image)
-    cox = None
-    if table.status == "complete":
-        cox = word_trivial_in_coxeter(table, image)
-    cert = None
-    if ab and cox is not False:
-        cert = prove_trivial(target, image, budget, memo)
-    if cert is not None and not replay_certificate(target, cert):
-        raise VerifierError(
-            f"certificate replay failed for {relator.provenance}"
-        )
-    return RelatorCheck(
-        relator=relator,
-        transported=image,
-        coxeter_trivial=cox,
-        abelianization_ok=ab,
-        certificate=cert,
-        budget_limited=cert is None and cox is not False and ab,
-    )
 
 
 def verify_homomorphism(
@@ -956,24 +948,25 @@ def verify_homomorphism(
     """Check that every source relator maps to a trivial word in the target.
 
     Each transported relator is run through the abelianization filter, the
-    Coxeter quotient decision (when the table completes under the cap), and
-    the certificate search.  FAIL records a definite counterexample;
-    INCONCLUSIVE marks budget-limited searches and capped tables, never
-    silence.
+    Coxeter quotient decision (when the table completes under the cap), and,
+    unless one of those refutes it, the certificate search.  FAIL records a
+    definite counterexample; INCONCLUSIVE marks budget-limited searches and
+    capped tables, never silence.
     """
     if memo is None:
         memo = {}
-    table = quotient_table(gmap.target, coset_cap, memo)
-    checks = [_check_one(gmap.target, table, r, transport(gmap, r.word), budget,
-                         memo)
-              for r in gmap.source.relators]
-    if any(c.failed for c in checks):
-        status = FAIL
-    elif all(c.certificate is not None for c in checks):
-        status = PASS
-    else:
-        status = INCONCLUSIVE
-    return HomReport(gmap.label, status, tuple(checks), table.order)
+    target = gmap.target
+    table = quotient_table(target, coset_cap, memo)
+    checks = []
+    for r in gmap.source.relators:
+        image = transport(gmap, r.word)
+        ab = abelianization_check(target, image)
+        cox = (word_trivial_in_coxeter(table, image)
+               if table.status == "complete" else None)
+        cert = (prove_trivial(target, image, budget, memo)
+                if ab and cox is not False else None)
+        checks.append(RelatorCheck(r, image, cox, ab, cert))
+    return HomReport(gmap.label, tuple(checks), table.order)
 
 
 @dataclass(frozen=True)
@@ -982,10 +975,15 @@ class InvarianceReport:
 
     diagram: Diagram
     vertex: int
-    status: str
     phi_report: HomReport
     psi_report: HomReport
     roundtrips_exact: bool
+
+    @property
+    def status(self) -> str:
+        """The worst verdict of the two maps; FAIL on an inexact round trip."""
+        return worst((self.phi_report.status, self.psi_report.status,
+                      PASS if self.roundtrips_exact else FAIL))
 
     def to_json(self) -> dict:
         return {
@@ -1014,24 +1012,12 @@ def verify_mutation_invariance(
     """
     f = phi(G, k, presenter)
     g = psi(G, k, presenter)
-    psi_phi = compose(g, f)
-    phi_psi = compose(f, g)
-    roundtrips = all(
-        psi_phi.images[i].letters == (i + 1,)
-        for i in range(psi_phi.source.n_generators)
-    ) and all(
-        phi_psi.images[i].letters == (i + 1,)
-        for i in range(phi_psi.source.n_generators)
-    )
+    roundtrips = all(image.letters == (i,)
+                     for h in (compose(g, f), compose(f, g))
+                     for i, image in enumerate(h.images, 1))
     phi_report = verify_homomorphism(f, budget, coset_cap, memo)
     psi_report = verify_homomorphism(g, budget, coset_cap, memo)
-    if FAIL in (phi_report.status, psi_report.status) or not roundtrips:
-        status = FAIL
-    elif phi_report.status == psi_report.status == PASS:
-        status = PASS
-    else:
-        status = INCONCLUSIVE
-    return InvarianceReport(G, k, status, phi_report, psi_report, roundtrips)
+    return InvarianceReport(G, k, phi_report, psi_report, roundtrips)
 
 
 FUZZ_BUDGET = SearchBudget(max_nodes=600, len_slack=8)
@@ -1047,10 +1033,10 @@ def fuzz_soundness(
 ) -> dict:
     """Cross-check the prover against the Coxeter quotient on random words.
 
-    Every certificate the small-budget search emits must replay, pass the
-    abelianization filter, and be accepted by the quotient; a violation is a
-    soundness bug and raises.  Returns summary counts; NotFound outcomes are
-    recorded, never interpreted.
+    Every certificate the small-budget search emits (each replayed by
+    `prove_trivial`) must pass the abelianization filter and be accepted by
+    the quotient; a violation is a soundness bug and raises.  Returns
+    summary counts; NotFound outcomes are recorded, never interpreted.
     """
     if memo is None:
         memo = {}
@@ -1078,8 +1064,6 @@ def fuzz_soundness(
             stats["not_found"] += 1
             continue
         stats["certified"] += 1
-        if not replay_certificate(P, cert):
-            raise VerifierError(f"fuzz certificate for {w.letters} failed replay")
         if trivial is False:
             raise VerifierError(
                 f"fuzz certificate for quotient-rejected word {w.letters}"
@@ -1106,7 +1090,8 @@ def derive_t3_rotations(
     Follows the induction of the symmetry lemma: rotations are proved one
     step backwards around the cycle, each proof allowed to cite previously
     derived rotations.  Returns (a, presentation, certificate) triples; the
-    certificate is None when a link could not be found within budget.
+    certificate (replayed by `prove_trivial`) is None when a link could not
+    be found within budget.
     """
     from .diagram import chordless_cycles
 

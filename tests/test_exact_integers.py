@@ -1,9 +1,12 @@
-"""The library constructors and mutation take exact ints or raise.
+"""The library constructors and mutation take exact ints, in the right
+shape, or raise.
 
-Each call below coerced, returned PASS or raised a bare TypeError before the
-constructors became the one place that checks their integer entries.  Now
-each raises DiagramError or PresentationError naming the bad value, exactly
-as the JSON readers do.
+Each call in the first table coerced, returned PASS or raised a bare
+TypeError before the constructors became the one place that checks their
+integer entries; each call in the second raised a bare TypeError or
+ValueError, or was accepted and failed later, before they checked the shape
+of their input as well.  Now each raises DiagramError or PresentationError
+naming the bad value, exactly as the JSON readers do.
 """
 
 import pytest
@@ -61,6 +64,24 @@ NOT_EXACT_INTEGERS = {
 @pytest.mark.parametrize("call, bad", NOT_EXACT_INTEGERS.values(),
                          ids=NOT_EXACT_INTEGERS.keys())
 def test_not_an_exact_integer_raises(call, bad):
+    with pytest.raises((DiagramError, PresentationError)) as exc:
+        call()
+    assert repr(bad) in str(exc.value)
+
+
+# id -> (call, the badly shaped value its error message must name)
+MISSHAPEN = {
+    "diagram-two-element-edge": (lambda: Diagram(2, ((1, 2),)), (1, 2)),
+    "diagram-edges-not-a-sequence": (lambda: Diagram(2, 5), 5),
+    "matrix-not-a-sequence": (lambda: ExchangeMatrix(5), 5),
+    "matrix-rows-not-sequences": (lambda: ExchangeMatrix((1, 2)), (1, 2)),
+    "word-not-a-sequence": (lambda: Word(5), 5),
+    "t4-diagram-not-a-diagram": (lambda: T4Pattern(1, "x"), "x"),
+}
+
+
+@pytest.mark.parametrize("call, bad", MISSHAPEN.values(), ids=MISSHAPEN.keys())
+def test_misshapen_input_raises(call, bad):
     with pytest.raises((DiagramError, PresentationError)) as exc:
         call()
     assert repr(bad) in str(exc.value)

@@ -1,10 +1,12 @@
 import random
 from dataclasses import replace
 from heapq import heappop, heappush
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, prod
 
 import pytest
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form
 
 from cluster_artin import (
     Diagram,
@@ -16,6 +18,7 @@ from cluster_artin import (
     SearchBudget,
     Word,
     abelianization_check,
+    affine_artin_presentation,
     artin_presentation,
     chordless_cycles,
     coxeter_presentation,
@@ -24,6 +27,7 @@ from cluster_artin import (
     derive_t3_rotations,
     fuzz_soundness,
     group_order,
+    load_t4_patterns,
     mutation_class,
     phi,
     prove_trivial,
@@ -39,8 +43,12 @@ from cluster_artin.presentation import least_cyclic_rotation
 from cluster_artin.verifier import (
     DEFAULT_BUDGET,
     DEFAULT_COSET_CAP,
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
     CappedTableError,
     CosetTable,
+    RelatorCheck,
     VerifierError,
     _columns,
     _descent_candidates,
@@ -48,6 +56,7 @@ from cluster_artin.verifier import (
     _order_lower_bound,
     _relabelled_form,
     _without_generator,
+    worst,
 )
 
 from conftest import (
@@ -986,6 +995,29 @@ class TestOrderLowerBound:
         assert _order_lower_bound(swaps, 6) == 6
 
 
+# The affine triangle with an edge of weight 4: the closing pair (3, 1) has
+# m = infinity in affine mode.
+TRIANGLE_334 = Diagram(3, ((1, 2, 3), (2, 3, 3), (3, 1, 4)))
+
+ABELIANIZATION_FIXTURES = ("a2", "a3", "a3-matrix", "a4", "b2", "b3",
+                           "b3-triangle", "d4", "e7", "e8", "g2", "square",
+                           "square-1212")
+ABELIANIZATION_SUBJECTS = {
+    **{f"{kind.__name__}-{name}": (
+        lambda kind=kind, name=name: kind(
+            Diagram.from_json(load_fixture(f"{name}.json"))))
+       for name in ABELIANIZATION_FIXTURES
+       for kind in (artin_presentation, coxeter_presentation)},
+    **{f"{kind.__name__}-{name}": (
+        lambda kind=kind, G=G: kind(G))
+       for name, G in DYNKIN.items()
+       for kind in (artin_presentation, coxeter_presentation)},
+    "affine-c2": lambda: affine_artin_presentation(
+        AFFINE_C2, load_t4_patterns(load_fixture("t4-patterns.json"))),
+    "affine-triangle-334": lambda: affine_artin_presentation(TRIANGLE_334),
+}
+
+
 class TestAbelianization:
     def test_empty_word(self):
         assert abelianization_check(artin_presentation(DYNKIN["A3"]), Word(()))
@@ -1005,6 +1037,57 @@ class TestAbelianization:
         P = coxeter_presentation(DYNKIN["B2"])
         assert abelianization_check(P, Word((1, 1)))
         assert not abelianization_check(P, Word((1,)))
+
+    @pytest.mark.parametrize("name", ABELIANIZATION_SUBJECTS)
+    def test_every_relator_passes(self, name):
+        P = ABELIANIZATION_SUBJECTS[name]()
+        for r in P.relators:
+            assert abelianization_check(P, r.word), r.provenance
+
+    def test_affine_relator_across_an_infinite_edge_passes(self):
+        # <s,p>(1,2)^3 has exponent sums e1 - e3, although the edge between
+        # 1 and 3 has weight 4 (m = infinity): merging only generators with
+        # m = 3 refuted it.
+        P = affine_artin_presentation(TRIANGLE_334)
+        (r,) = [r for r in P.relators if r.provenance.startswith("<s,p>(1,2)")]
+        assert r.word.exponent_sums(3) == (1, 0, -1)
+        assert abelianization_check(P, r.word)
+
+    @pytest.mark.parametrize("k", (1, 3))
+    def test_affine_instance_is_not_refuted(self, k):
+        report = verify_mutation_invariance(
+            TRIANGLE_334, k, SearchBudget(max_nodes=20_000), coset_cap=2000,
+            presenter=affine_artin_presentation)
+        assert report.status != "FAIL"
+
+    @pytest.mark.parametrize("name", ABELIANIZATION_SUBJECTS)
+    def test_agrees_with_hermite_normal_form(self, name):
+        P = ABELIANIZATION_SUBJECTS[name]()
+        n = P.n_generators
+        lattice = [r.word.exponent_sums(n) for r in P.relators]
+        basis = hermite_normal_form(Matrix(n, len(lattice),
+                                           lambda i, j: lattice[j][i]))
+        rng = random.Random(f"abelianization-{name}")
+        verdicts = set()
+        for _ in range(60):
+            # Half the words are products of relator conjugates, so that
+            # both verdicts are met.
+            if rng.random() < 0.5:
+                w = random_word(rng, n, 0, 6)
+            else:
+                w = Word(())
+                for _ in range(rng.randint(1, 3)):
+                    r = rng.choice(P.relators).word
+                    w = w * (r if rng.random() < 0.5 else r.inverse())
+                w = w * random_word(rng, n, 0, 2)
+            v = w.exponent_sums(n)
+            extended = hermite_normal_form(Matrix(
+                n, len(lattice) + 1,
+                lambda i, j: (lattice[j] if j < len(lattice) else v)[i]))
+            expected = extended == basis
+            assert abelianization_check(P, w) == expected, w.letters
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestProveTrivial:
@@ -1322,6 +1405,68 @@ class TestVerifyMutationInvariance:
         assert obj["status"] == "PASS"
         assert obj["phi"]["map"] == "Phi(1)"
         assert obj["psi"]["relators"][0]["certificate"] is not None
+
+
+# (abelianization_ok, coxeter_trivial, certificate found) -> status, over
+# every combination `verify_homomorphism` can produce: the search runs only
+# when neither filter refutes the word.
+REACHABLE_CHECKS = {
+    (False, True, False): FAIL,
+    (False, False, False): FAIL,
+    (False, None, False): FAIL,
+    (True, False, False): FAIL,
+    (True, True, True): PASS,
+    (True, None, True): PASS,
+    (True, True, False): INCONCLUSIVE,
+    (True, None, False): INCONCLUSIVE,
+}
+
+
+class TestVerdictChain:
+    @pytest.mark.parametrize("combination, status", REACHABLE_CHECKS.items(),
+                             ids=map(str, REACHABLE_CHECKS))
+    def test_relator_status(self, combination, status):
+        ab, cox, found = combination
+        P = artin_presentation(DYNKIN["A2"])
+        r = P.relators[0]
+        cert = prove_trivial(P, r.word) if found else None
+        check = RelatorCheck(r, r.word, cox, ab, cert)
+        assert check.status == status
+        assert check.budget_limited == (status == INCONCLUSIVE)
+        assert check.to_json()["budget_limited"] == check.budget_limited
+
+    def test_worst_of_nothing_is_pass(self):
+        assert worst(()) == PASS
+
+    @pytest.mark.parametrize("statuses", product((PASS, INCONCLUSIVE, FAIL),
+                                                 repeat=3))
+    def test_worst_ignores_order(self, statuses):
+        expected = (FAIL if FAIL in statuses else
+                    INCONCLUSIVE if INCONCLUSIVE in statuses else PASS)
+        for order in permutations(statuses):
+            assert worst(order) == worst(iter(order)) == expected
+
+    def test_inexact_roundtrip_fails(self):
+        report = verify_mutation_invariance(DYNKIN["A2"], 1)
+        assert report.status == PASS
+        broken = replace(report, roundtrips_exact=False)
+        assert broken.status == FAIL
+        assert broken.to_json()["status"] == FAIL
+
+    @pytest.mark.parametrize("call", (
+        lambda: prove_trivial(artin_presentation(DYNKIN["A2"]), Word(())),
+        lambda: verify_homomorphism(phi(DYNKIN["A3"], 2)),
+        lambda: fuzz_soundness(single_generator_presentation(), 5),
+        lambda: derive_t3_rotations(SQUARE),
+    ), ids=("prove_trivial", "verify_homomorphism", "fuzz_soundness",
+            "derive_t3_rotations"))
+    def test_failed_replay_raises(self, monkeypatch, call):
+        import cluster_artin.verifier as verifier_module
+
+        monkeypatch.setattr(verifier_module, "replay_certificate",
+                            lambda P, cert: False)
+        with pytest.raises(VerifierError, match="failed replay"):
+            call()
 
 
 class TestFuzzSoundness:
