@@ -5,13 +5,15 @@ condition: the word's exponent sums must be an integer combination of the
 relators'.  Todd-Coxeter coset enumeration decides words exactly in the
 finite Coxeter quotient (the Artin presentation plus involution relators).
 Each involution gets one self-inverse column, so its relator is enforced by
-the table itself rather than scanned.  A complete table over the trivial
-subgroup is the regular representation, so a word is trivial exactly when
-it fixes coset 0, and only that one walk is made.  Finally a bounded
-best-first search over relator insertions either produces a replayable
-proof certificate of triviality in the Artin group itself or reports
-NotFound, which is always inconclusive and never a claim of nontriviality.
-Each insertion is reduced by `splice`, which cancels only at the two seams.
+the table itself rather than scanned.  Every finished table is validated, so
+a complete one over the trivial subgroup is the regular representation: a
+word is trivial exactly when it fixes coset 0, one that moves it is
+refuted, and only that one walk is made; a capped table decides nothing.
+Finally a bounded best-first search over relator insertions either produces
+a replayable proof certificate of triviality in the Artin group itself or
+reports NotFound, which is always inconclusive and never a claim of
+nontriviality.  Each insertion is reduced by `splice`, which cancels only at
+the two seams.
 
 `prove_trivial` replays each certificate by an independent code path before
 returning it; a replay failure, or in the soundness fuzz (which searches
@@ -28,18 +30,18 @@ permutation action on the cosets bounds it from below, and when the two
 meet the order is proved.  Otherwise the same race, alone, over the trivial
 subgroup on the same columns decides it.  Coset enumeration has one
 implementation, `_enumerate`, which can pause after any row and resume, and
-one loop that runs it, `_race`: `todd_coxeter` runs one enumeration in it
-to completion or to the cap, and the descent races the candidate subgroups
-in it, always advancing the one with the fewest cosets defined, so no loser
-grows past the winner by more than a row.  No state outlives a run: the
-census passes one memo to every `group_order` call, and `verify` one to
-every `verify_mutation_invariance` and `fuzz_soundness` call, so each
-distinct quotient table and move list is computed once per run, and each
-order once per run up to relabelling of the generators.  Relabelling them,
-rotating or inverting a relator, and reordering or repeating relators
-leave the presented group the same, so the census memo keeps an order
-under a form that those changes leave alone as well as under the exact
-relator letters.
+one loop that runs it and validates each table it finishes, `_race`:
+`todd_coxeter` runs one enumeration in it to completion or to the cap, and
+the descent races the candidate subgroups in it, always advancing the one
+with the fewest cosets defined, so no loser grows past the winner by more
+than a row.  No state outlives a run: the census passes one memo to every
+`group_order` call, and `verify` one to every `verify_mutation_invariance`
+and `fuzz_soundness` call, so each distinct quotient table and move list is
+computed once per run, and each order once per run up to relabelling of the
+generators.  Relabelling them, rotating or inverting a relator, and
+reordering or repeating relators leave the presented group the same, so the
+census memo keeps an order under a form that those changes leave alone as
+well as under the exact relator letters.
 """
 
 from __future__ import annotations
@@ -67,10 +69,6 @@ from .presentation import (
 
 class VerifierError(RuntimeError):
     """Internal inconsistency: bad certificate or layer disagreement."""
-
-
-class CappedTableError(VerifierError):
-    """A capped coset table cannot decide word triviality."""
 
 
 # ---------------------------------------------------------------------------
@@ -104,37 +102,31 @@ class CosetTable:
         return len(self.rows)
 
     def validate(self, P: Presentation) -> bool:
-        """Check the permutation property, that every relator scans home,
-        and that every subgroup generator fixes coset 0."""
-        return self._validate(tuple(r.word.letters for r in P.relators))
+        """Whether the table is complete and `_valid` for P's relators."""
+        col = self.col
+        return self.status == "complete" and _valid(col, self.rows, [
+            [col[x] for x in r.word.letters] for r in P.relators], self.subgroup)
 
-    def _validate(self, relators: tuple[tuple[int, ...], ...]) -> bool:
-        if self.status != "complete":
+
+def _valid(col: dict[int, int], rows, relator_columns,
+           subgroup: tuple[int, ...]) -> bool:
+    """Whether `rows` is an action of the presented group on the cosets of
+    H = <subgroup>: column col[-g] inverts column col[g] (so a self-inverse
+    column is an involution), every relator, given by its columns, fixes
+    every coset, and every subgroup generator fixes coset 0."""
+    if any(rows[0][col[g]] != 0 for g in subgroup):
+        return False
+    perms = list(zip(*rows))
+    identity = list(range(len(rows)))
+    inverse_pairs = [(col[g], col[-g]) for g in col if g > 0]
+    for columns in (*inverse_pairs, *relator_columns):
+        p = identity
+        for c in columns:
+            perm = perms[c]
+            p = [perm[k] for k in p]
+        if p != identity:
             return False
-        col, rows = self.col, self.rows
-        if any(rows[0][col[g]] != 0 for g in self.subgroup):
-            return False
-        size = len(rows)
-        # Column col[-g] inverting column col[g] makes both permutations; a
-        # self-inverse column must be an involution.
-        for g in range(1, self.n_generators + 1):
-            c, ic = col[g], col[-g]
-            if any(rows[rows[k][c]][ic] != k for k in range(size)):
-                return False
-        for rel in relators:
-            # The loop above has already made a self-inverse column an
-            # involution, which is all its involution relator says.
-            if (len(rel) == 2 and rel[0] == rel[1]
-                    and col[rel[0]] == col[-rel[0]]):
-                continue
-            cols = [col[x] for x in rel]
-            for start in range(size):
-                cur = start
-                for c in cols:
-                    cur = rows[cur][c]
-                if cur != start:
-                    return False
-        return True
+    return True
 
 
 DEFAULT_COSET_CAP = 1_000_000
@@ -312,7 +304,8 @@ def _race(columns, subgroups: list[tuple[int, ...]], coset_cap: int):
     The enumeration with the fewest cosets defined so far always goes next
     (the earlier one on a tie), and one row at a time.  So a loser stops
     within one row of the winner's final count, and each is dropped as soon
-    as it passes the cap.
+    as it passes the cap.  The winner's rows are handed out only once
+    `_valid` has checked them against the scanned relators; failing raises.
     """
     runs = [_enumerate(columns, H) for H in subgroups]
     heap = [(1, i) for i in range(len(runs))]
@@ -321,7 +314,12 @@ def _race(columns, subgroups: list[tuple[int, ...]], coset_cap: int):
         try:
             defined = next(runs[i])
         except StopIteration as done:
-            return i, done.value
+            rows = done.value
+            if not _valid(columns[0], rows, [fw for fw, _, _ in columns[2]],
+                          subgroups[i]):
+                raise VerifierError(f"coset table over the subgroup "
+                                    f"{subgroups[i]} failed validation")
+            return i, rows
         if defined > coset_cap:
             heappop(heap)
         else:
@@ -334,9 +332,9 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
     """HLT-style coset enumeration of P over H = <subgroup>.
 
     `subgroup` lists generators (positive letters) of H; by default H is
-    trivial.  Runs `_enumerate` alone in a `_race` to completion, or returns
-    a capped table instead of raising once more than `coset_cap` cosets have
-    been defined.
+    trivial.  Runs `_enumerate` alone in a `_race` to completion, which
+    validates the table, or returns a capped table instead of raising once
+    more than `coset_cap` cosets have been defined.
     """
     columns = _columns(P.n_generators,
                        tuple(r.word.letters for r in P.relators))
@@ -347,17 +345,19 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
                       subgroup)
 
 
-def word_trivial_in_coxeter(table: CosetTable, w: Word) -> bool:
-    """Whether w is the identity in the group of a complete table.
+def word_trivial_in_coxeter(table: CosetTable, w: Word) -> bool | None:
+    """Whether w is the identity in the group of a table over the trivial
+    subgroup; None for a capped table, which decides nothing.
 
-    A complete table over the trivial subgroup is the regular
-    representation, so w = e exactly when w fixes coset 0.
+    A complete table is validated and is the regular representation, so
+    w = e exactly when w fixes coset 0, and a w that moves it is a definite
+    refutation.
     """
-    if table.status != "complete":
-        raise CappedTableError("capped table cannot decide triviality")
     if table.subgroup:
         raise VerifierError("a table over a non-trivial subgroup cannot "
                             "decide triviality")
+    if table.status != "complete":
+        return None
     rows, col = table.rows, table.col
     cur = 0
     for x in w.letters:
@@ -618,10 +618,10 @@ def _relabelled_form(n: int, m_table, relators):
 
 def _descend(n: int, m_table, relators, coset_cap: int,
              memo: dict) -> int | None:
-    """One level of the descent in `group_order`: race the candidates,
-    validate the winner's table, find u through the memo, then prove the
-    bound or fall back to the race, alone, over the trivial subgroup on the
-    same columns."""
+    """One level of the descent in `group_order`: race the candidates (the
+    race validates the winner's table), find u through the memo, then prove
+    the bound or fall back to the race, alone, over the trivial subgroup on
+    the same columns."""
     if n == 0:
         return 1
     candidates = _descent_candidates(m_table)
@@ -632,13 +632,9 @@ def _descend(n: int, m_table, relators, coset_cap: int,
     if won is None:
         return None
     i, rows = won
-    v = candidates[i]
     col = columns[0]
-    table = CosetTable(n, col, rows, "complete", subgroups[i])
-    if not table._validate(relators):
-        raise VerifierError(f"coset table over all generators but {v} "
-                            f"(of {n}) failed validation")
-    u = _order(*_without_generator(n, m_table, relators, v), coset_cap, memo)
+    u = _order(*_without_generator(n, m_table, relators, candidates[i]),
+               coset_cap, memo)
     if u is not None:
         bound = len(rows) * u
         gens = [tuple(row[col[g]] for row in rows) for g in range(1, n + 1)]
@@ -724,6 +720,13 @@ class SearchBudget:
     max_nodes: int = 1_000_000
     len_slack: int = 16
 
+    def __post_init__(self):
+        for name, least in (("max_nodes", 1), ("len_slack", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:  # type(): no booleans
+                raise ValueError(f"{name} must be an integer of at least "
+                                 f"{least}, got {value!r}")
+
     def limit_for(self, w: Word) -> int:
         return len(w) + self.len_slack
 
@@ -774,9 +777,10 @@ def prove_trivial(
     form may be inserted at either end of the word or at any seam where at
     least one letter cancels.  States are deduplicated by their reduced word;
     shorter words are expanded first.  Success yields a certificate, already
-    replayed against P (a failed replay raises); None means the budget ran
-    out and says nothing about nontriviality.  The move list of P is kept
-    in `memo`, the run's memo.
+    replayed against P (a failed replay raises); None means the node budget
+    ran out or every word under the length bound was reached, and says
+    nothing about nontriviality.  The move list of P is kept in `memo`, the
+    run's memo.
     """
     start = w.letters
     # parent[word] = (previous word, position, (rid, rot, inverted))
@@ -796,8 +800,6 @@ def prove_trivial(
     if not start:
         return reconstruct(start)
     maxlen = budget.limit_for(w)
-    if len(start) > maxlen:
-        return None
     moves = _moves_for(P, memo)
     heap: list[tuple[int, int, tuple[int, ...]]] = [(len(start), 0, start)]
     counter = 1
@@ -948,10 +950,10 @@ def verify_homomorphism(
     """Check that every source relator maps to a trivial word in the target.
 
     Each transported relator is run through the abelianization filter, the
-    Coxeter quotient decision (when the table completes under the cap), and,
-    unless one of those refutes it, the certificate search.  FAIL records a
-    definite counterexample; INCONCLUSIVE marks budget-limited searches and
-    capped tables, never silence.
+    Coxeter quotient decision (`word_trivial_in_coxeter`, None when the
+    table caps), and, unless one of those refutes it, the certificate
+    search.  FAIL records a definite counterexample; INCONCLUSIVE marks
+    budget-limited searches and capped tables, never silence.
     """
     if memo is None:
         memo = {}
@@ -961,8 +963,7 @@ def verify_homomorphism(
     for r in gmap.source.relators:
         image = transport(gmap, r.word)
         ab = abelianization_check(target, image)
-        cox = (word_trivial_in_coxeter(table, image)
-               if table.status == "complete" else None)
+        cox = word_trivial_in_coxeter(table, image)
         cert = (prove_trivial(target, image, budget, memo)
                 if ab and cox is not False else None)
         checks.append(RelatorCheck(r, image, cox, ab, cert))
@@ -1052,13 +1053,9 @@ def fuzz_soundness(
         )
         w = Word(letters)
         stats["words"] += 1
-        trivial = None
-        if table.status == "complete":
-            trivial = word_trivial_in_coxeter(table, w)
-            if trivial:
-                stats["quotient_trivial"] += 1
-            else:
-                stats["quotient_rejected"] += 1
+        trivial = word_trivial_in_coxeter(table, w)
+        if trivial is not None:
+            stats["quotient_trivial" if trivial else "quotient_rejected"] += 1
         cert = prove_trivial(P, w, budget, memo)
         if cert is None:
             stats["not_found"] += 1

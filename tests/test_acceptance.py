@@ -113,6 +113,13 @@ def test_c02_matrix_diagram_commutation():
                     )
                     if Bk.entries not in seen and len(seen) < 300:
                         frontier.append(Bk)
+        # A weight-4 third side that outweighs its path: at k = 2 the update
+        # takes the a*b < c branch and turns the new arrow round.
+        B = ExchangeMatrix(((0, 1, -2), (-1, 0, 1), (2, -1, 0)))
+        for k in range(1, 4):
+            assert diagram_from_matrix(mutate_matrix(B, k)) == mutate_diagram(
+                diagram_from_matrix(B), k
+            )
 
 
 def test_c03_figure_fidelity():

@@ -122,6 +122,9 @@ class TestT4Patterns:
         assert len(t4_template_words(5, 3)) == 2
         row2 = t4_template_words(2, 4)[0]
         assert row2 == (2, -3, 1, 4, -1, 3, -2, -3, 1, -4, -1, 3)
+        # Row 4 at four vertices: the commutator of s1 with s2^-1 s4 s3 s4^-1 s2.
+        assert t4_template_words(4, 4) == (
+            (1, -2, 4, 3, -4, 2, -1, -2, 4, -3, -4, 2),)
 
     def test_unknown_row(self):
         from cluster_artin.presentation import PresentationError

@@ -6,7 +6,9 @@ TypeError before the constructors became the one place that checks their
 integer entries; each call in the second raised a bare TypeError or
 ValueError, or was accepted and failed later, before they checked the shape
 of their input as well.  Now each raises DiagramError or PresentationError
-naming the bad value, exactly as the JSON readers do.
+naming the bad value, exactly as the JSON readers do.  Each search budget in
+the third table is out of range or not an exact int, and SearchBudget
+refuses it with a ValueError naming the value.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from cluster_artin import (
     DiagramError,
     ExchangeMatrix,
     PresentationError,
+    SearchBudget,
     T4Pattern,
     Word,
     mutate_diagram,
@@ -83,5 +86,26 @@ MISSHAPEN = {
 @pytest.mark.parametrize("call, bad", MISSHAPEN.values(), ids=MISSHAPEN.keys())
 def test_misshapen_input_raises(call, bad):
     with pytest.raises((DiagramError, PresentationError)) as exc:
+        call()
+    assert repr(bad) in str(exc.value)
+
+
+# id -> (call, the out-of-range or inexact value its error message must name)
+BAD_BUDGETS = {
+    "budget-zero-nodes": (lambda: SearchBudget(max_nodes=0), 0),
+    "budget-negative-nodes": (lambda: SearchBudget(max_nodes=-5), -5),
+    "budget-fractional-nodes": (lambda: SearchBudget(max_nodes=1.5), 1.5),
+    "budget-boolean-nodes": (lambda: SearchBudget(max_nodes=True), True),
+    "budget-negative-slack": (lambda: SearchBudget(len_slack=-1), -1),
+    "budget-fractional-slack": (lambda: SearchBudget(len_slack=0.5), 0.5),
+    "budget-boolean-slack": (lambda: SearchBudget(len_slack=False), False),
+    "budget-string-slack": (lambda: SearchBudget(len_slack="2"), "2"),
+}
+
+
+@pytest.mark.parametrize("call, bad", BAD_BUDGETS.values(),
+                         ids=BAD_BUDGETS.keys())
+def test_bad_search_budget_raises(call, bad):
+    with pytest.raises(ValueError) as exc:
         call()
     assert repr(bad) in str(exc.value)

@@ -33,6 +33,7 @@ from cluster_artin import (
     prove_trivial,
     quotient_table,
     replay_certificate,
+    t3_qualifies,
     t_relator,
     todd_coxeter,
     verify_homomorphism,
@@ -46,7 +47,6 @@ from cluster_artin.verifier import (
     FAIL,
     INCONCLUSIVE,
     PASS,
-    CappedTableError,
     CosetTable,
     RelatorCheck,
     VerifierError,
@@ -157,9 +157,9 @@ class TestWordTrivial:
             assert word_trivial_in_coxeter(table, r.word)
 
     def test_capped_table_raises(self):
+        # Kept under its old name: a capped table now decides nothing.
         table = todd_coxeter(coxeter_presentation(DYNKIN["D4"]), coset_cap=10)
-        with pytest.raises(CappedTableError):
-            word_trivial_in_coxeter(table, Word((1,)))
+        assert word_trivial_in_coxeter(table, Word((1,))) is None
 
 
 def every_coset_trivial(table, w: Word) -> bool:
@@ -199,11 +199,11 @@ class TestWordTrivialAgainstEveryCoset:
 
     @pytest.mark.parametrize("name", WORD_CHECK_FIXTURES)
     def test_capped_table_still_raises(self, name):
+        # Kept under its old name: a capped table now decides nothing.
         G = Diagram.from_json(load_fixture(f"{name}.json"))
         table = todd_coxeter(coxeter_presentation(G), coset_cap=2)
         assert table.status == "capped"
-        with pytest.raises(CappedTableError):
-            word_trivial_in_coxeter(table, Word(()))
+        assert word_trivial_in_coxeter(table, Word(())) is None
 
 
 def reference_todd_coxeter(P: Presentation,
@@ -1107,6 +1107,13 @@ class TestProveTrivial:
         w = Word((1, 2, 1, -2, -1, -2)).conjugate(Word((2, 1)))
         assert prove_trivial(P, w, SearchBudget(max_nodes=1)) is None
 
+    def test_exhausted_space_returns_none(self):
+        # With no slack no insertion keeps s1 at one letter, so the search
+        # runs out of words long before it could spend 10^9 nodes.
+        P = artin_presentation(DYNKIN["A2"])
+        budget = SearchBudget(max_nodes=10**9, len_slack=0)
+        assert prove_trivial(P, Word((1,)), budget) is None
+
     def test_tampered_certificate_fails_replay(self):
         P = artin_presentation(DYNKIN["A2"])
         cert = prove_trivial(P, P.relators[0].word)
@@ -1317,6 +1324,18 @@ class TestLemmaReplays:
         for _, Q, cert in results:
             assert cert is not None and replay_certificate(Q, cert)
 
+    def test_triangle_chain_skips_a_rotation_without_t3(self):
+        # On the (2,2,1) triangle rotations 0 and 1 hold (T3) relators and
+        # rotation 2 does not: going backwards from base 0 the chain skips
+        # rotation 2 and certifies rotation 1.
+        (cycle,) = chordless_cycles(TRIANGLE_221)
+        assert [t3_qualifies(cycle, a) for a in range(3)] == [
+            True, True, False]
+        (result,) = derive_t3_rotations(TRIANGLE_221)
+        a, Q, cert = result
+        assert a == 1
+        assert cert is not None and replay_certificate(Q, cert)
+
     def test_pentagon_rotation_chain(self):
         results = derive_t3_rotations(PENTAGON)
         assert len(results) == 4
@@ -1466,6 +1485,29 @@ class TestVerdictChain:
         monkeypatch.setattr(verifier_module, "replay_certificate",
                             lambda P, cert: False)
         with pytest.raises(VerifierError, match="failed replay"):
+            call()
+
+    @pytest.mark.parametrize("call", (
+        lambda: todd_coxeter(coxeter_presentation(DYNKIN["A3"])),
+        lambda: group_order(coxeter_presentation(DYNKIN["A3"])),
+        lambda: verify_mutation_invariance(DYNKIN["A3"], 2),
+    ), ids=("todd_coxeter", "group_order", "verify_mutation_invariance"))
+    def test_invalid_table_raises(self, monkeypatch, call):
+        # Every enumeration completes, but generator 1 acts as the identity,
+        # so (s1 s2)^3 moves the cosets that s2 moves.
+        import cluster_artin.verifier as verifier_module
+
+        enumerate_cosets = verifier_module._enumerate
+
+        def corrupted_enumerate(columns, subgroup=()):
+            rows = yield from enumerate_cosets(columns, subgroup)
+            c = columns[0][1]
+            return tuple(row[:c] + (k,) + row[c + 1:]
+                         for k, row in enumerate(rows))
+
+        monkeypatch.setattr(verifier_module, "_enumerate",
+                            corrupted_enumerate)
+        with pytest.raises(VerifierError, match="failed validation"):
             call()
 
 
