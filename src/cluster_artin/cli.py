@@ -30,7 +30,7 @@ from .diagram import (
     mutation_class,
     opposite,
 )
-from .mapping import GroupMap, MappingError
+from .mapping import GroupMap, MappingError, phi
 from .presentation import (
     PresentationError,
     Word,
@@ -242,13 +242,11 @@ def _verify_map_fixture(args, obj: dict) -> int:
     label = obj.get("label", "fixture-map")
     if not isinstance(label, str):
         raise MappingError(f'"label" must be a string, got {label!r}')
-    presenter = _presenter(args)
-    source = presenter(mutate_diagram(G, obj["k"]))
-    target = presenter(G)
+    presented = phi(G, obj["k"], _presenter(args))
     if not isinstance(obj["images"], list):
         raise MappingError('"images" must be a list of words')
     images = tuple(Word.from_json(w) for w in obj["images"])
-    gmap = GroupMap(source, target, images, label)
+    gmap = GroupMap(presented.source, presented.target, images, label)
     report = verify_homomorphism(gmap, _budget(args), args.coset_cap)
     payload = report.to_json()
 
@@ -344,6 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="diagram or matrix JSON file")
         p.add_argument("--format", choices=fmt_choices, default="json")
 
+    def presenter_flags(p):
+        p.add_argument("--mode", choices=("finite", "affine"), default="finite")
+        p.add_argument("--minimal-t3", action="store_true",
+                       help="one (T3) relator per cycle, leaning on the "
+                       "redundancy lemmas")
+        p.add_argument("--patterns",
+                       help="(T4) pattern library JSON (affine mode)")
+
     p = sub.add_parser("mutate", help="apply a mutation sequence")
     common(p, ("json", "dot"))
     p.add_argument("-k", dest="vertices", type=int, action="append",
@@ -359,11 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("present", help="emit a group presentation")
     common(p)
     p.add_argument("--kind", choices=("artin", "coxeter"), default="artin")
-    p.add_argument("--mode", choices=("finite", "affine"), default="finite")
-    p.add_argument("--minimal-t3", action="store_true",
-                   help="one (T3) relator per cycle, leaning on the "
-                   "redundancy lemmas")
-    p.add_argument("--patterns", help="(T4) pattern library JSON (affine mode)")
+    presenter_flags(p)
 
     p = sub.add_parser("verify", help="verify mutation invariance or a map fixture")
     common(p)
@@ -371,9 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-vertices", action="store_true")
     p.add_argument("--class", dest="mutation_class", action="store_true",
                    help="verify every member of the mutation class")
-    p.add_argument("--mode", choices=("finite", "affine"), default="finite")
-    p.add_argument("--minimal-t3", action="store_true")
-    p.add_argument("--patterns", help="(T4) pattern library JSON (affine mode)")
+    presenter_flags(p)
     p.add_argument("--budget-nodes", type=_POSITIVE_INT,
                    default=DEFAULT_BUDGET.max_nodes,
                    help="insertion attempts per word search")

@@ -7,6 +7,8 @@ same arrows, so on generators the round trips with phi reduce to the
 identity as free words, with no relations needed.  It equals the paper's
 composite delta' . phi_op . delta around the opposite diagram, where
 `delta(G)` inverts every generator into the group of the opposite diagram.
+Both comparison maps are one rule, `comparison_map`, read in the two
+directions over the same two presentations.
 """
 
 from __future__ import annotations
@@ -74,19 +76,23 @@ def compose(outer: GroupMap, inner: GroupMap) -> GroupMap:
                     f"{outer.label}.{inner.label}")
 
 
+def comparison_map(G: Diagram, k: int, c: int, source: Presentation,
+                   target: Presentation) -> GroupMap:
+    """The map s_i -> c s_i c^-1 when G has an arrow i -> k, and s_i -> s_i
+    otherwise (including i = k): `phi` for c = k, `psi` for c = -k."""
+    images = tuple(Word((c, i, -c)) if G.arrow(i, k) else Word((i,))
+                   for i in range(1, G.n + 1))
+    return GroupMap(source, target, images, f"{'Phi' if c > 0 else 'Psi'}({k})")
+
+
 def phi(G: Diagram, k: int, presenter: Presenter = artin_presentation) -> GroupMap:
     """The mutation comparison map from the group of mu_k(G) into the group of G.
 
     A generator r_i maps to s_k s_i s_k^-1 exactly when G has an arrow
     i -> k, and to s_i otherwise (including i = k).
     """
-    source = presenter(mutate_diagram(G, k))
-    target = presenter(G)
-    images = tuple(
-        Word((k, i, -k)) if G.arrow(i, k) else Word((i,))
-        for i in range(1, G.n + 1)
-    )
-    return GroupMap(source, target, images, f"Phi({k})")
+    return comparison_map(G, k, k, presenter(mutate_diagram(G, k)),
+                          presenter(G))
 
 
 def delta(G: Diagram, presenter: Presenter = artin_presentation) -> GroupMap:
@@ -105,8 +111,4 @@ def psi(G: Diagram, k: int, presenter: Presenter = artin_presentation) -> GroupM
     out on generators.  Both presentations are phi's, with the roles swapped.
     """
     f = phi(G, k, presenter)
-    images = tuple(
-        Word((-k, i, k)) if G.arrow(i, k) else Word((i,))
-        for i in range(1, G.n + 1)
-    )
-    return GroupMap(f.target, f.source, images, f"Psi({k})")
+    return comparison_map(G, k, -k, f.target, f.source)

@@ -164,9 +164,6 @@ class Word:
         return Word(tuple(letters))
 
 
-EMPTY_WORD = Word()
-
-
 def cyclic_reduce(letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Return (core, prefix) with letters = prefix * core * prefix^-1."""
     lo, hi = 0, len(letters)
@@ -267,11 +264,9 @@ def m_value(G: Diagram, i: int, j: int, affine: bool = False) -> float:
 
 
 def alternating_word(x: Word, y: Word, m: int) -> Word:
-    """<x, y>^m: the alternating product x y x y ... of m factors."""
-    out = EMPTY_WORD
-    for t in range(m):
-        out = out * (x if t % 2 == 0 else y)
-    return out
+    """<x, y>^m: the alternating product x y x y ... of m factors, that is
+    (x y)^(m // 2) x^(m % 2), reduced once (free reduction is confluent)."""
+    return Word((x.letters + y.letters) * (m // 2) + x.letters * (m % 2))
 
 
 def braid_relator_words(x: Word, y: Word, m: int, family: str, provenance: str) -> Relator:

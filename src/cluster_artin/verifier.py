@@ -26,22 +26,22 @@ descent that needs no table of the whole group: the index of the subgroup
 generated by all generators but one, found by coset enumeration over that
 subgroup, times the order of the sub-presentation on those generators, found
 the same way, bounds the order from above.  A stabilizer chain of the
-permutation action on the cosets bounds it from below, and when the two
-meet the order is proved.  Otherwise the same race, alone, over the trivial
+permutation action on the cosets bounds it from below, and when the two meet
+the order is proved.  Otherwise the same race, alone, over the trivial
 subgroup on the same columns decides it.  Coset enumeration has one
 implementation, `_enumerate`, which can pause after any row and resume, and
-one loop that runs it and validates each table it finishes, `_race`:
-`todd_coxeter` runs one enumeration in it to completion or to the cap, and
-the descent races the candidate subgroups in it, always advancing the one
-with the fewest cosets defined, so no loser grows past the winner by more
-than a row.  No state outlives a run: the census passes one memo to every
-`group_order` call, and `verify` one to every `verify_mutation_invariance`
-and `fuzz_soundness` call, so each distinct quotient table and move list is
-computed once per run, and each order once per run up to relabelling of the
-generators.  Relabelling them, rotating or inverting a relator, and
-reordering or repeating relators leave the presented group the same, so the
-census memo keeps an order under a form that those changes leave alone as
-well as under the exact relator letters.
+one loop that runs it and hands out each table it finishes, validated, as a
+`CosetTable`, `_race`: `todd_coxeter` runs one enumeration in it to
+completion or to the cap, and the descent races the candidate subgroups in
+it, always advancing the one with the fewest cosets defined, so no loser
+grows past the winner by more than a row.  No state outlives a run: the
+census passes one memo to every `group_order` call, and `verify` one to
+every `verify_mutation_invariance` and `fuzz_soundness` call, so each
+distinct quotient table and move list is computed once per run, and each
+order once per run up to relabelling of the generators.  Relabelling them,
+rotating or inverting a relator, and reordering or repeating relators leave
+the presented group the same, so the census memo keeps an order under a form
+that those changes leave alone as well as under the exact relator letters.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from heapq import heappop, heappush, heapreplace
 from math import prod
 
 from .diagram import Diagram, _least_placements
-from .mapping import GroupMap, Presenter, compose, phi, psi, transport
+from .mapping import (GroupMap, Presenter, comparison_map, compose, psi,
+                      transport)
 from .presentation import (
     Presentation,
     Relator,
@@ -85,26 +86,27 @@ class CosetTable:
     Coxeter quotient has one entry per generator per coset.  Coset 0 is H
     itself.  Over the trivial subgroup a complete table is the regular
     representation, so its size is the group order; over a non-trivial one
-    its size is the index of H.
+    its size is the index of H.  A complete table has at least coset 0, so
+    `rows == ()` marks a capped one, which decides nothing.
     """
 
-    n_generators: int
     col: dict[int, int]
     rows: tuple[tuple[int, ...], ...]
-    status: str  # "complete" | "capped"
     subgroup: tuple[int, ...] = ()
+
+    @property
+    def status(self) -> str:
+        return "complete" if self.rows else "capped"
 
     @property
     def order(self) -> int | None:
         """The group order: None unless complete over the trivial subgroup."""
-        if self.status != "complete" or self.subgroup:
-            return None
-        return len(self.rows)
+        return len(self.rows) if self.rows and not self.subgroup else None
 
     def validate(self, P: Presentation) -> bool:
         """Whether the table is complete and `_valid` for P's relators."""
         col = self.col
-        return self.status == "complete" and _valid(col, self.rows, [
+        return bool(self.rows) and _valid(col, self.rows, [
             [col[x] for x in r.word.letters] for r in P.relators], self.subgroup)
 
 
@@ -297,15 +299,17 @@ def _enumerate(columns, subgroup: tuple[int, ...] = ()):
     return tuple(rows)
 
 
-def _race(columns, subgroups: list[tuple[int, ...]], coset_cap: int):
-    """(i, rows) for the first of the enumerations over `subgroups` to
+def _race(columns, subgroups: list[tuple[int, ...]],
+          coset_cap: int) -> CosetTable | None:
+    """The table of the first of the enumerations over `subgroups` to
     complete, or None when every one defines more than `coset_cap` cosets.
 
     The enumeration with the fewest cosets defined so far always goes next
     (the earlier one on a tie), and one row at a time.  So a loser stops
     within one row of the winner's final count, and each is dropped as soon
-    as it passes the cap.  The winner's rows are handed out only once
-    `_valid` has checked them against the scanned relators; failing raises.
+    as it passes the cap.  The winner's table, whose `subgroup` names it, is
+    handed out only once `_valid` has checked its rows against the scanned
+    relators; failing raises.
     """
     runs = [_enumerate(columns, H) for H in subgroups]
     heap = [(1, i) for i in range(len(runs))]
@@ -314,12 +318,11 @@ def _race(columns, subgroups: list[tuple[int, ...]], coset_cap: int):
         try:
             defined = next(runs[i])
         except StopIteration as done:
-            rows = done.value
-            if not _valid(columns[0], rows, [fw for fw, _, _ in columns[2]],
-                          subgroups[i]):
+            if not _valid(columns[0], done.value,
+                          [fw for fw, _, _ in columns[2]], subgroups[i]):
                 raise VerifierError(f"coset table over the subgroup "
                                     f"{subgroups[i]} failed validation")
-            return i, rows
+            return CosetTable(columns[0], done.value, subgroups[i])
         if defined > coset_cap:
             heappop(heap)
         else:
@@ -332,17 +335,14 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_COSET_CAP,
     """HLT-style coset enumeration of P over H = <subgroup>.
 
     `subgroup` lists generators (positive letters) of H; by default H is
-    trivial.  Runs `_enumerate` alone in a `_race` to completion, which
-    validates the table, or returns a capped table instead of raising once
+    trivial.  Returns the table of `_enumerate` run alone in a `_race`,
+    which validates it, or a capped table (no rows) instead of raising once
     more than `coset_cap` cosets have been defined.
     """
     columns = _columns(P.n_generators,
                        tuple(r.word.letters for r in P.relators))
-    won = _race(columns, [subgroup], coset_cap)
-    if won is None:
-        return CosetTable(P.n_generators, columns[0], (), "capped", subgroup)
-    return CosetTable(P.n_generators, columns[0], won[1], "complete",
-                      subgroup)
+    return (_race(columns, [subgroup], coset_cap)
+            or CosetTable(columns[0], (), subgroup))
 
 
 def word_trivial_in_coxeter(table: CosetTable, w: Word) -> bool | None:
@@ -356,7 +356,7 @@ def word_trivial_in_coxeter(table: CosetTable, w: Word) -> bool | None:
     if table.subgroup:
         raise VerifierError("a table over a non-trivial subgroup cannot "
                             "decide triviality")
-    if table.status != "complete":
+    if not table.rows:
         return None
     rows, col = table.rows, table.col
     cur = 0
@@ -628,20 +628,19 @@ def _descend(n: int, m_table, relators, coset_cap: int,
     subgroups = [tuple(g for g in range(1, n + 1) if g != v)
                  for v in candidates]
     columns = _columns(n, relators)
-    won = _race(columns, subgroups, coset_cap)
-    if won is None:
+    table = _race(columns, subgroups, coset_cap)
+    if table is None:
         return None
-    i, rows = won
-    col = columns[0]
-    u = _order(*_without_generator(n, m_table, relators, candidates[i]),
-               coset_cap, memo)
+    v = candidates[subgroups.index(table.subgroup)]
+    u = _order(*_without_generator(n, m_table, relators, v), coset_cap, memo)
     if u is not None:
+        rows, col = table.rows, table.col
         bound = len(rows) * u
         gens = [tuple(row[col[g]] for row in rows) for g in range(1, n + 1)]
         if _order_lower_bound(gens, bound) == bound:
             return bound
-    won = _race(columns, [()], coset_cap)
-    return None if won is None else len(won[1])
+    full = _race(columns, [()], coset_cap)
+    return None if full is None else full.order
 
 
 # ---------------------------------------------------------------------------
@@ -1009,10 +1008,11 @@ def verify_mutation_invariance(
 
     Verifies the comparison map and its reverse composite as homomorphisms
     and checks that both round trips are the identity on generators as free
-    words, with no relations applied.
+    words, with no relations applied.  Only `psi` presents the instance;
+    phi's map is built on its two presentations, swapped back.
     """
-    f = phi(G, k, presenter)
     g = psi(G, k, presenter)
+    f = comparison_map(G, k, k, g.target, g.source)
     roundtrips = all(image.letters == (i,)
                      for h in (compose(g, f), compose(f, g))
                      for i, image in enumerate(h.images, 1))

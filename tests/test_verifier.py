@@ -31,6 +31,7 @@ from cluster_artin import (
     mutation_class,
     phi,
     prove_trivial,
+    psi,
     quotient_table,
     replay_certificate,
     t3_qualifies,
@@ -292,7 +293,7 @@ def reference_todd_coxeter(P: Presentation,
     alpha = 0
     while alpha < len(table):
         if defined > coset_cap:
-            return CosetTable(P.n_generators, col, (), "capped")
+            return CosetTable(col, ())
         if rep(alpha) == alpha:
             for rel in relcols:
                 scan_and_fill(alpha, rel)
@@ -305,8 +306,8 @@ def reference_todd_coxeter(P: Presentation,
         alpha += 1
     live = [c for c in range(len(table)) if rep(c) == c]
     remap = {old: new for new, old in enumerate(live)}
-    return CosetTable(P.n_generators, col, tuple(
-        tuple(remap[rep(e)] for e in table[old]) for old in live), "complete")
+    return CosetTable(col, tuple(
+        tuple(remap[rep(e)] for e in table[old]) for old in live))
 
 
 def small_presentation(n: int, *words: tuple[int, ...]) -> Presentation:
@@ -1406,8 +1407,8 @@ class TestVerifyMutationInvariance:
         G = Diagram(4, ((2, 1, 1), (1, 4, 2), (3, 4, 1), (2, 3, 2), (4, 2, 2)))
         assert verify_mutation_invariance(G, 1).status == "PASS"
 
-    def test_builds_four_presentations(self):
-        # phi's source and target, built once more by psi's call to phi
+    def test_builds_two_presentations(self):
+        # psi's call to phi builds the source and target; phi's map reuses them
         built = []
 
         def presenter(G):
@@ -1416,7 +1417,16 @@ class TestVerifyMutationInvariance:
 
         report = verify_mutation_invariance(DYNKIN["A3"], 2, presenter=presenter)
         assert report.status == "PASS"
-        assert len(built) == 4
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("name", DYNKIN)
+    def test_maps_match_phi_and_psi(self, name):
+        # phi's map is rebuilt on psi's presentations; it must not drift.
+        G = DYNKIN[name]
+        for k in range(1, G.n + 1):
+            report = verify_mutation_invariance(G, k)
+            assert report.phi_report == verify_homomorphism(phi(G, k)), k
+            assert report.psi_report == verify_homomorphism(psi(G, k)), k
 
     def test_report_json_shape(self):
         report = verify_mutation_invariance(DYNKIN["A2"], 1)
